@@ -5,6 +5,10 @@ the fully resolved configuration is written into every output directory, and
 re-running from that frozen file reproduces every artifact byte for byte.
 One master seed derives all stage seeds (see ``seeding``), so a single
 integer pins a whole run.
+
+Each stage is one ``cmd_*`` function that writes its artifacts and returns
+its result.  Run alone, a stage reads its input from disk; ``pipeline``
+hands each result to the next stage in memory.
 """
 
 from __future__ import annotations
@@ -19,11 +23,12 @@ from pathlib import Path
 import numpy as np
 
 from . import dynsys, rnn, stats
-from .dataset import (FilterSpec, build_dataset, butterworth_lowpass,
-                      load_dataset, load_series, pair_surrogates,
-                      save_dataset, split_dataset)
+from .dataset import (FilterSpec, LabeledDataset, build_dataset,
+                      butterworth_lowpass, load_dataset, load_series,
+                      pair_surrogates, save_dataset, split_dataset)
 from .errors import ParameterError, SurrotestError
 from .seeding import stage_seed
+from .series import atomic_open, file_sha256, write_json
 from .spectral import SurrogateConfig
 
 OUTPUT_ROOT_ENV = "SURROTEST_OUT"
@@ -86,17 +91,19 @@ class RunConfig:
             raise ParameterError(f"N must be at least 1, got {self.N}")
         if self.epochs < 0:
             raise ParameterError(f"epochs must be nonnegative, got {self.epochs}")
-        if not self.learning_rate > 0:
-            raise ParameterError("learning rate must be positive")
-        if self.batch_size < 1:
-            raise ParameterError("batch size must be at least 1")
-        if self.hidden_size < 1:
-            raise ParameterError("hidden size must be at least 1")
         # Constructors validate their own ranges.
+        self.train_config()
         self.surrogate_config()
         self.filter_spec()
         if self.system == "ar1":
             dynsys.NoiseParams(self.alpha)
+
+    def train_config(self) -> rnn.TrainConfig:
+        return rnn.TrainConfig(hidden_size=self.hidden_size,
+                               lr=self.learning_rate,
+                               batch_size=self.batch_size,
+                               clip_norm=self.clip_norm,
+                               shuffle_seed=self.seed_shuffle)
 
     def surrogate_config(self) -> SurrogateConfig:
         return SurrogateConfig(
@@ -149,75 +156,77 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def write_frozen_config(cfg: RunConfig, outdir: Path) -> None:
-    blob = asdict(cfg)
-    blob["out"] = str(outdir)
-    with open(outdir / FROZEN_CONFIG, "w") as fh:
-        json.dump(blob, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 # ---------------------------------------------------------------------------
 # Stages
 # ---------------------------------------------------------------------------
 
-def _generate_realizations(cfg: RunConfig) -> list:
+def cmd_generate(cfg: RunConfig) -> tuple:
+    """Realizations, and the SHA-256 of the realizations.csv written."""
+    source, params = cfg.system, None
     if cfg.system == "file":
-        record = load_series(cfg.input, fmt=cfg.input_format)
+        source = load_series(cfg.input, fmt=cfg.input_format)
         spec = cfg.filter_spec()
         if spec is not None:
-            record = butterworth_lowpass(record, spec)
-        return dynsys.make_realizations(record, cfg.L, cfg.N,
-                                        mode=cfg.mode or "windowed",
-                                        seed=cfg.seed_generation)
-    params = dynsys.NoiseParams(cfg.alpha) if cfg.system == "ar1" else None
-    return dynsys.make_realizations(cfg.system, cfg.L, cfg.N, mode=cfg.mode,
-                                    seed=cfg.seed_generation, params=params)
+            source = butterworth_lowpass(source, spec)
+    elif cfg.system == "ar1":
+        params = dynsys.NoiseParams(cfg.alpha)
+    realizations = dynsys.make_realizations(source, cfg.L, cfg.N, mode=cfg.mode,
+                                            seed=cfg.seed_generation,
+                                            params=params)
+    digest = dynsys.save_realizations(cfg.outdir() / "realizations.csv",
+                                      realizations,
+                                      extra_meta={"master_seed": cfg.master_seed})
+    return realizations, digest
 
 
-def cmd_generate(cfg: RunConfig) -> Path:
-    outdir = cfg.outdir()
-    outdir.mkdir(parents=True, exist_ok=True)
-    realizations = _generate_realizations(cfg)
-    path = outdir / "realizations.csv"
-    dynsys.save_realizations(path, realizations,
-                             extra_meta={"master_seed": cfg.master_seed})
-    write_frozen_config(cfg, outdir)
-    return path
+def _stage_input(cfg: RunConfig, input_path, default_name: str) -> Path:
+    return Path(input_path) if input_path else cfg.outdir() / default_name
 
 
-def cmd_surrogate(cfg: RunConfig, input_path=None) -> Path:
-    outdir = cfg.outdir()
-    outdir.mkdir(parents=True, exist_ok=True)
-    source = Path(input_path) if input_path else outdir / "realizations.csv"
+def _read_realizations(source: Path) -> tuple:
     originals, _ = dynsys.load_realizations(source)
+    return originals, file_sha256(source)
+
+
+def cmd_surrogate(cfg: RunConfig, input_path=None, realizations=None) -> list:
+    """One SurrogateResult per realization (from ``cmd_generate`` or disk)."""
+    outdir = cfg.outdir()
+    source = _stage_input(cfg, input_path, "realizations.csv")
+    originals, digest = realizations or _read_realizations(source)
+    settings = asdict(cfg.surrogate_config())
     results = pair_surrogates(originals, cfg.surrogate_config())
-    surr_path = outdir / "surrogates.csv"
     dynsys.save_realizations(
-        surr_path, [r.surrogate for r in results],
-        extra_meta={"algorithm": cfg.surrogate_algorithm,
-                    "source": source.name})
-    summary = {
-        "algorithm": cfg.surrogate_algorithm,
-        "max_iter": cfg.surrogate_max_iter,
-        "tolerance": cfg.surrogate_tolerance,
-        "seed": cfg.seed_surrogate,
-        "pairs": [
-            {"pair_id": i,
-             "iterations": r.iterations,
-             "converged": r.converged,
-             "discrepancy": min(r.discrepancy_trace)}
-            for i, r in enumerate(results)
-        ],
-    }
-    with open(outdir / "surrogate_report.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    write_frozen_config(cfg, outdir)
-    return surr_path
+        outdir / "surrogates.csv", [r.surrogate for r in results],
+        extra_meta={"algorithm": cfg.surrogate_algorithm, "source": source.name,
+                    "source_sha256": digest, "surrogate": settings})
+    write_json(outdir / "surrogate_report.json", {
+        **settings,
+        "pairs": [{"pair_id": i, "iterations": r.iterations,
+                   "converged": r.converged,
+                   "discrepancy": min(r.discrepancy_trace)}
+                  for i, r in enumerate(results)],
+    })
+    return results
 
 
-def _assemble_dataset(cfg: RunConfig, originals, surrogates=None):
+def _stored_surrogates(cfg: RunConfig, digest: str):
+    """surrogates.csv, if the surrogate stage made it from the realizations
+    with SHA-256 ``digest`` under the current surrogate settings."""
+    path = cfg.outdir() / "surrogates.csv"
+    if not path.exists():
+        return None
+    surrogates, meta = dynsys.load_realizations(path)
+    fresh = (meta.get("source_sha256") == digest
+             and meta.get("surrogate") == asdict(cfg.surrogate_config()))
+    return surrogates if fresh else None
+
+
+def cmd_dataset(cfg: RunConfig, input_path=None, realizations=None,
+                surrogates=None) -> LabeledDataset:
+    """The labeled, split dataset.  Without the two earlier stages' results
+    it reads the realizations, and surrogates.csv if it is fresh."""
+    originals, digest = realizations or _read_realizations(
+        _stage_input(cfg, input_path, "realizations.csv"))
     # For records (system "file") the filter ran at ingestion, before
     # windowing.  For prebuilt realization CSVs it applies per realization
     # here - and must precede surrogate generation, or original and
@@ -227,50 +236,32 @@ def _assemble_dataset(cfg: RunConfig, originals, surrogates=None):
     if spec is not None and cfg.system != "file":
         originals = [butterworth_lowpass(o, spec) for o in originals]
         surrogates = None
+    elif surrogates is None:
+        surrogates = _stored_surrogates(cfg, digest)
     ds = build_dataset(originals, cfg.surrogate_config(), surrogates=surrogates)
-    return split_dataset(ds, train_frac=cfg.train_frac,
-                         val_frac_of_train=cfg.val_frac_of_train,
-                         seed=cfg.seed_split)
-
-
-def cmd_dataset(cfg: RunConfig, input_path=None) -> Path:
-    outdir = cfg.outdir()
-    outdir.mkdir(parents=True, exist_ok=True)
-    source = Path(input_path) if input_path else outdir / "realizations.csv"
-    originals, _ = dynsys.load_realizations(source)
-    ds = _assemble_dataset(cfg, originals)
-    path = outdir / "dataset.csv"
-    save_dataset(path, ds, extra_meta={
-        "surrogate": {"algorithm": cfg.surrogate_algorithm,
-                      "max_iter": cfg.surrogate_max_iter,
-                      "tolerance": cfg.surrogate_tolerance,
-                      "seed": cfg.seed_surrogate},
-        "filter": asdict(cfg.filter_spec()) if cfg.filter_spec() else None,
+    ds = split_dataset(ds, train_frac=cfg.train_frac,
+                       val_frac_of_train=cfg.val_frac_of_train,
+                       seed=cfg.seed_split)
+    save_dataset(cfg.outdir() / "dataset.csv", ds, extra_meta={
+        "surrogate": asdict(cfg.surrogate_config()),
+        "filter": asdict(spec) if spec else None,
         "master_seed": cfg.master_seed,
     })
-    write_frozen_config(cfg, outdir)
-    return path
+    return ds
 
 
-def cmd_train(cfg: RunConfig, input_path=None) -> Path:
+def cmd_train(cfg: RunConfig, input_path=None, dataset=None) -> rnn.TrainReport:
     outdir = cfg.outdir()
-    outdir.mkdir(parents=True, exist_ok=True)
-    source = Path(input_path) if input_path else outdir / "dataset.csv"
-    ds = load_dataset(source)
-    train_cfg = rnn.TrainConfig(hidden_size=cfg.hidden_size,
-                                lr=cfg.learning_rate,
-                                batch_size=cfg.batch_size,
-                                clip_norm=cfg.clip_norm,
-                                shuffle_seed=cfg.seed_shuffle)
-    snapshots, report = rnn.train(cfg.seed_init, ds, cfg.epochs, train_cfg)
+    if dataset is None:
+        dataset = load_dataset(_stage_input(cfg, input_path, "dataset.csv"))
+    snapshots, report = rnn.train(cfg.seed_init, dataset, cfg.epochs,
+                                  cfg.train_config())
     rnn.save_model(outdir / "model.json", snapshots[-1])
     if report.representative_epoch is not None:
         rnn.save_model(outdir / "model_representative.json",
                        snapshots[report.representative_epoch])
-    report_path = outdir / "train_report.csv"
-    rnn.save_report(report_path, report)
-    write_frozen_config(cfg, outdir)
-    return report_path
+    rnn.save_report(outdir / "train_report.csv", report)
+    return report
 
 
 def verdict_from_report(report: rnn.TrainReport, alpha: float = 0.05) -> dict:
@@ -295,52 +286,35 @@ def verdict_from_report(report: rnn.TrainReport, alpha: float = 0.05) -> dict:
     }
 
 
-def cmd_report(cfg: RunConfig, input_path=None) -> Path:
+def cmd_report(cfg: RunConfig, input_path=None, report=None) -> dict:
     outdir = cfg.outdir()
-    outdir.mkdir(parents=True, exist_ok=True)
-    source = Path(input_path) if input_path else outdir / "train_report.csv"
-    report = rnn.load_report(source)
+    if report is None:
+        report = rnn.load_report(_stage_input(cfg, input_path,
+                                              "train_report.csv"))
     verdict = verdict_from_report(report)
     line = json.dumps(verdict, sort_keys=True)
-    with open(outdir / "verdict.json", "w") as fh:
+    with atomic_open(outdir / "verdict.json") as fh:
         fh.write(line + "\n")
     print(line)
-    write_frozen_config(cfg, outdir)
-    return outdir / "verdict.json"
+    return verdict
 
 
-def cmd_pipeline(cfg: RunConfig) -> Path:
-    """Run every stage in order, aborting with the stage name on failure."""
-    outdir = cfg.outdir()
-    outdir.mkdir(parents=True, exist_ok=True)
-    write_frozen_config(cfg, outdir)
-
-    def stage(name, fn, *args, **kwargs):
+def cmd_pipeline(cfg: RunConfig) -> dict:
+    """Run every stage in order, handing each result to the next.  A failure
+    keeps its exception type; ``main`` prints the failing stage's name."""
+    def stage(name, fn, **inputs):
         try:
-            return fn(*args, **kwargs)
+            return fn(cfg, **inputs)
         except Exception as exc:
-            raise RuntimeError(f"pipeline failed at stage '{name}': {exc}") from exc
+            exc.pipeline_stage = name
+            raise
 
-    realizations_path = stage("generate", cmd_generate, cfg)
-    stage("surrogate", cmd_surrogate, cfg, realizations_path)
-
-    def assemble():
-        originals, _ = dynsys.load_realizations(realizations_path)
-        surrogates, _ = dynsys.load_realizations(outdir / "surrogates.csv")
-        ds = _assemble_dataset(cfg, originals, surrogates=surrogates)
-        save_dataset(outdir / "dataset.csv", ds, extra_meta={
-            "surrogate": {"algorithm": cfg.surrogate_algorithm,
-                          "max_iter": cfg.surrogate_max_iter,
-                          "tolerance": cfg.surrogate_tolerance,
-                          "seed": cfg.seed_surrogate},
-            "filter": asdict(cfg.filter_spec()) if cfg.filter_spec() else None,
-            "master_seed": cfg.master_seed,
-        })
-        return outdir / "dataset.csv"
-
-    dataset_path = stage("dataset", assemble)
-    report_path = stage("train", cmd_train, cfg, dataset_path)
-    return stage("report", cmd_report, cfg, report_path)
+    realizations = stage("generate", cmd_generate)
+    surrogates = stage("surrogate", cmd_surrogate, realizations=realizations)
+    dataset = stage("dataset", cmd_dataset, realizations=realizations,
+                    surrogates=surrogates)
+    report = stage("train", cmd_train, dataset=dataset)
+    return stage("report", cmd_report, report=report)
 
 
 # ---------------------------------------------------------------------------
@@ -411,16 +385,19 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
+    """Exit 0 on success, 2 on a ``SurrotestError``, 1 on other failures."""
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
+        outdir = cfg.outdir()
+        outdir.mkdir(parents=True, exist_ok=True)
+        write_json(outdir / FROZEN_CONFIG, {**asdict(cfg), "out": str(outdir)})
         _DISPATCH[args.command](cfg, args)
-    except SurrotestError as exc:
-        print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return 2
-    except (RuntimeError, OSError, ValueError) as exc:
-        print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return 1
+    except (SurrotestError, RuntimeError, OSError, ValueError) as exc:
+        stage = getattr(exc, "pipeline_stage", None)
+        where = f"pipeline failed at stage '{stage}': " if stage else ""
+        print(f"error[{type(exc).__name__}]: {where}{exc}", file=sys.stderr)
+        return 2 if isinstance(exc, SurrotestError) else 1
     return 0
 
 

@@ -10,15 +10,15 @@ original and recognize its surrogate in the test set.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import LengthError, ParameterError, ParseError, SplitError
+from .errors import LengthError, ParameterError, SplitError
 from .seeding import derived_seed
-from .series import TimeSeries, as_samples
+from .series import (TimeSeries, as_samples, atomic_open, check_width,
+                     meta_path, parse_cells, read_meta, write_json)
 from .spectral import SurrogateConfig, make_surrogate
 
 SPLITS = ("train", "validation", "test")
@@ -46,15 +46,7 @@ def load_series(path, fmt: str = "column") -> TimeSeries:
             if not text:
                 continue
             fields = text.split(",") if fmt == "row" else [text]
-            for tok in fields:
-                tok = tok.strip()
-                try:
-                    values.append(float(tok))
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: line {lineno}: cannot parse {tok!r} as a number",
-                        line=lineno,
-                    ) from None
+            values += parse_cells(fields, path, lineno)
     if not values:
         raise LengthError(f"{path} contains no samples")
     return TimeSeries(np.array(values), meta={"source": str(path)})
@@ -63,8 +55,7 @@ def load_series(path, fmt: str = "column") -> TimeSeries:
 def save_series(path, series, fmt: str = "column") -> None:
     """Write a record with 17 significant digits (lossless round-trip)."""
     samples = as_samples(series)
-    path = Path(path)
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         if fmt == "row":
             fh.write(",".join(f"{v:.17g}" for v in samples) + "\n")
         else:
@@ -150,6 +141,13 @@ def butterworth_lowpass(series, spec: FilterSpec) -> TimeSeries:
 # Standardization
 # ---------------------------------------------------------------------------
 
+def _standardize_rows(rows: np.ndarray) -> np.ndarray:
+    centered = rows - rows.mean(axis=1, keepdims=True)
+    std = np.sqrt(np.mean(centered**2, axis=1, keepdims=True))
+    return np.divide(centered, std, out=np.zeros_like(centered),
+                     where=std != 0.0)
+
+
 def standardize(realization) -> TimeSeries:
     """Zero-mean unit-variance rescaling (population std) per realization.
 
@@ -158,9 +156,7 @@ def standardize(realization) -> TimeSeries:
     samples = as_samples(realization)
     if samples.size < 2:
         raise LengthError("standardization needs at least 2 samples")
-    centered = samples - samples.mean()
-    std = np.sqrt(np.mean(centered**2))
-    scaled = np.zeros_like(samples) if std == 0.0 else centered / std
+    scaled = _standardize_rows(samples[None, :])[0]
     if isinstance(realization, TimeSeries):
         return realization.with_samples(scaled, standardized=True)
     return TimeSeries(scaled, meta={"standardized": True})
@@ -171,38 +167,26 @@ def standardize(realization) -> TimeSeries:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class DatasetItem:
-    samples: np.ndarray          # standardized, fed to the classifier
-    raw: np.ndarray              # pre-standardization values
-    label: int                   # 1 = original, 0 = surrogate
-    pair_id: int
-    split: str | None = None
-
-
-@dataclass
 class LabeledDataset:
-    items: list
-    L: int
+    """Paired realizations as arrays, one row each, in pair order: every
+    original is directly followed by its surrogate."""
+
+    X: np.ndarray                 # (2N, L) standardized samples
+    y: np.ndarray                 # (2N,) int: 1 = original, 0 = surrogate
+    pair_id: np.ndarray           # (2N,) int
+    split: np.ndarray             # (2N,) str: one of SPLITS, "" if unsplit
     seeds: dict = field(default_factory=dict)
 
     def __len__(self):
-        return len(self.items)
+        return self.X.shape[0]
+
+    @property
+    def L(self) -> int:
+        return self.X.shape[1]
 
     @property
     def n_pairs(self) -> int:
-        return len({it.pair_id for it in self.items})
-
-    def subset(self, split: str) -> list:
-        return [it for it in self.items if it.split == split]
-
-    def arrays(self, split: str | None = None) -> tuple:
-        """(X, y) matrices for a split (or the whole dataset)."""
-        items = self.items if split is None else self.subset(split)
-        if not items:
-            return np.empty((0, self.L)), np.empty(0, dtype=int)
-        X = np.stack([it.samples for it in items])
-        y = np.array([it.label for it in items], dtype=int)
-        return X, y
+        return len(set(self.pair_id.tolist()))
 
 
 def pair_surrogates(originals, config: SurrogateConfig) -> list:
@@ -242,22 +226,14 @@ def build_dataset(originals, config: SurrogateConfig,
     elif len(surrogates) != len(originals):
         raise LengthError("surrogate count does not match original count")
 
-    items = []
-    for pid, (orig, surr) in enumerate(zip(originals, surrogates)):
-        surr_series = surr.surrogate if hasattr(surr, "surrogate") else surr
-        items.append(DatasetItem(
-            samples=standardize(orig).samples,
-            raw=orig.samples.copy(),
-            label=LABEL_ORIGINAL,
-            pair_id=pid,
-        ))
-        items.append(DatasetItem(
-            samples=standardize(surr_series).samples,
-            raw=as_samples(surr_series).copy(),
-            label=LABEL_SURROGATE,
-            pair_id=pid,
-        ))
-    return LabeledDataset(items=items, L=L,
+    n = len(originals)
+    rows = np.empty((2 * n, L))
+    rows[0::2] = [as_samples(o) for o in originals]
+    rows[1::2] = [as_samples(getattr(s, "surrogate", s)) for s in surrogates]
+    return LabeledDataset(X=_standardize_rows(rows),
+                          y=np.tile([LABEL_ORIGINAL, LABEL_SURROGATE], n),
+                          pair_id=np.repeat(np.arange(n), 2),
+                          split=np.full(2 * n, ""),
                           seeds={"surrogate": config.seed})
 
 
@@ -275,7 +251,8 @@ def split_dataset(dataset: LabeledDataset, train_frac: float = 0.75,
         raise ParameterError(
             f"validation fraction must be in [0, 1), got {val_frac_of_train}"
         )
-    pair_ids = sorted({it.pair_id for it in dataset.items})
+    # A set, not np.unique: numpy's sort code adds about 1 MB to peak RSS.
+    pair_ids = sorted(set(dataset.pair_id.tolist()))
     n_pairs = len(pair_ids)
     if n_pairs < 3:
         raise SplitError(f"need at least 3 pairs to split, got {n_pairs}")
@@ -288,20 +265,15 @@ def split_dataset(dataset: LabeledDataset, train_frac: float = 0.75,
 
     rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
     order = rng.permutation(n_pairs)
-    assignment = {}
-    for rank, idx in enumerate(order):
-        if rank < n_test:
-            tag = "test"
-        elif rank < n_test + n_val:
-            tag = "validation"
-        else:
-            tag = "train"
-        assignment[pair_ids[idx]] = tag
-
-    items = [replace(it, split=assignment[it.pair_id]) for it in dataset.items]
+    # The pair at rank r of the permutation gets the r-th tag.
+    ranked = np.repeat(["test", "validation", "train"],
+                       [n_test, n_val, n_pairs - n_test - n_val])
+    pair_split = np.empty_like(ranked)
+    pair_split[order] = ranked
     seeds = dict(dataset.seeds)
     seeds["split"] = seed
-    return LabeledDataset(items=items, L=dataset.L, seeds=seeds)
+    row_pair = np.searchsorted(pair_ids, dataset.pair_id)
+    return replace(dataset, split=pair_split[row_pair], seeds=seeds)
 
 
 # ---------------------------------------------------------------------------
@@ -312,51 +284,44 @@ def save_dataset(path, dataset: LabeledDataset, extra_meta: dict | None = None) 
     """CSV with columns [pair_id, label, split, s_0 .. s_{L-1}] + sidecar."""
     path = Path(path)
     header = ["pair_id", "label", "split"] + [f"s_{i}" for i in range(dataset.L)]
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for it in dataset.items:
-            writer.writerow([it.pair_id, it.label, it.split or ""]
-                            + [f"{v:.17g}" for v in it.samples])
+        for pid, label, tag, row in zip(dataset.pair_id.tolist(),
+                                        dataset.y.tolist(),
+                                        dataset.split.tolist(), dataset.X):
+            writer.writerow([pid, label, tag] + [f"{v:.17g}" for v in row])
     meta = {"L": dataset.L, "N": dataset.n_pairs, "seeds": dataset.seeds}
     if extra_meta:
         meta.update(extra_meta)
-    sidecar = path.with_name(path.stem + ".meta.json")
-    with open(sidecar, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(meta_path(path), meta)
 
 
 def load_dataset(path) -> LabeledDataset:
     """Read a dataset CSV written by ``save_dataset``.
 
-    Raw (pre-standardization) values are not stored on disk; loaded items
-    carry the standardized samples in both slots.
+    A row that does not have the header's width, or a cell that does not
+    parse, raises ``ParseError`` with its line number.
     """
     path = Path(path)
-    items = []
+    pair_id, y, split, X = [], [], [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise LengthError(f"{path} is empty")
-        L = len(header) - 3
         for row in reader:
             if not row:
                 continue
-            samples = np.array([float(v) for v in row[3:]])
-            items.append(DatasetItem(
-                samples=samples,
-                raw=samples.copy(),
-                label=int(row[1]),
-                pair_id=int(row[0]),
-                split=row[2] or None,
-            ))
-    if not items:
+            line = reader.line_num
+            check_width(row, len(header), path, line)
+            pid, label = parse_cells(row[:2], path, line, kind=int)
+            pair_id.append(pid)
+            y.append(label)
+            split.append(row[2])
+            X.append(parse_cells(row[3:], path, line))
+    if not X:
         raise LengthError(f"{path} contains no items")
-    seeds = {}
-    sidecar = path.with_name(path.stem + ".meta.json")
-    if sidecar.exists():
-        with open(sidecar) as fh:
-            seeds = json.load(fh).get("seeds", {})
-    return LabeledDataset(items=items, L=L, seeds=seeds)
+    return LabeledDataset(X=np.array(X), y=np.array(y),
+                          pair_id=np.array(pair_id), split=np.array(split),
+                          seeds=read_meta(path).get("seeds", {}))

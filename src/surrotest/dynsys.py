@@ -13,7 +13,6 @@ batch seed (see ``seeding``), so results do not depend on generation order.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -21,7 +20,8 @@ import numpy as np
 
 from .errors import DivergenceError, LengthError, ParameterError, StiffnessError
 from .seeding import substream
-from .series import TimeSeries
+from .series import (TimeSeries, atomic_open, check_width, file_sha256,
+                     meta_path, parse_cells, read_meta, write_json)
 
 # Default burn-in discarded before sampling: enough to land on the
 # attractor / in the stationary regime.
@@ -516,20 +516,18 @@ def _windowed_realizations(source: TimeSeries, L: int, N: int, seed: int) -> lis
 # Serialization: one realization per CSV row, sidecar JSON with provenance
 # ---------------------------------------------------------------------------
 
-def save_realizations(path, realizations, extra_meta: dict | None = None) -> None:
-    """Write realizations as a headerless CSV plus a .meta.json sidecar."""
+def save_realizations(path, realizations, extra_meta: dict | None = None) -> str:
+    """Write realizations as a headerless CSV plus a .meta.json sidecar;
+    return the SHA-256 of the CSV."""
     path = Path(path)
     lengths = {len(r) for r in realizations}
     if len(lengths) != 1:
         raise LengthError(f"realizations have mixed lengths: {sorted(lengths)}")
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         for r in realizations:
             writer.writerow([f"{v:.17g}" for v in r.samples])
-    meta = {
-        "L": lengths.pop(),
-        "N": len(realizations),
-    }
+    meta = {"L": lengths.pop(), "N": len(realizations)}
     first = realizations[0]
     for key in ("system", "seed", "mode", "params"):
         if key in first.meta:
@@ -538,34 +536,29 @@ def save_realizations(path, realizations, extra_meta: dict | None = None) -> Non
         meta["dt"] = first.dt
     if extra_meta:
         meta.update(extra_meta)
-    with open(meta_path(path), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(meta_path(path), meta)
+    return file_sha256(path)
 
 
 def load_realizations(path) -> tuple:
-    """Read a realization CSV (and sidecar metadata when present)."""
+    """Read a realization CSV (and sidecar metadata when present); every
+    row must have the sidecar's L, or without one the first row's length."""
     path = Path(path)
+    meta = read_meta(path)
+    width = meta.get("L")
     rows = []
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if row:
-                rows.append(np.array([float(v) for v in row]))
+        reader = csv.reader(fh)
+        for row in reader:
+            if not row:
+                continue
+            width = width or len(row)
+            check_width(row, width, path, reader.line_num)
+            rows.append(np.array(parse_cells(row, path, reader.line_num)))
     if not rows:
         raise LengthError(f"{path} contains no realizations")
-    meta = {}
-    sidecar = meta_path(path)
-    if sidecar.exists():
-        with open(sidecar) as fh:
-            meta = json.load(fh)
-    dt = meta.get("dt")
-    series = [TimeSeries(r, dt=dt, meta={"index": i, **{k: meta[k] for k in
-                                                        ("system", "seed", "mode")
-                                                        if k in meta}})
+    kept = {k: meta[k] for k in ("system", "seed", "mode", "params") if k in meta}
+    series = [TimeSeries(r, dt=meta.get("dt"), meta={"index": i, **kept})
               for i, r in enumerate(rows)]
     return series, meta
 
-
-def meta_path(path) -> Path:
-    path = Path(path)
-    return path.with_name(path.stem + ".meta.json")

@@ -16,7 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from . import stats
-from .errors import (LengthError, NumericError, ParameterError, TrainingError)
+from .errors import (LengthError, NumericError, ParameterError, ParseError,
+                     TrainingError)
+from .series import (atomic_open, check_width, meta_path, parse_cells,
+                     read_meta, write_json)
 
 PARAM_NAMES = ("w_in", "w_rec", "b_h", "w_out", "b_out")
 
@@ -316,11 +319,10 @@ def train(init_seed: int, dataset, epochs: int,
     if epochs < 0:
         raise ParameterError(f"epochs must be nonnegative, got {epochs}")
 
-    X_train, y_train = dataset.arrays("train")
-    X_val, y_val = dataset.arrays("validation")
-    X_test, y_test = dataset.arrays("test")
-    if epochs > 0 and (X_train.shape[0] == 0 or X_val.shape[0] == 0
-                       or X_test.shape[0] == 0):
+    (X_train, y_train), (X_val, y_val), (X_test, y_test) = [
+        (dataset.X[dataset.split == tag], dataset.y[dataset.split == tag])
+        for tag in ("train", "validation", "test")]
+    if epochs > 0 and min(len(X_train), len(X_val), len(X_test)) == 0:
         raise ParameterError("dataset needs nonempty train/validation/test splits")
 
     model = init_model(config.hidden_size, seed=init_seed)
@@ -386,7 +388,7 @@ def save_model(path, model: RnnModel) -> None:
         body = ", ".join(f"{v:.17g}" for v in flat)
         param_lines.append(f'    "{name}": [{body}]')
     parts.append(",\n".join(param_lines) + "\n  }\n")
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         fh.write("{\n" + "".join(parts) + "}\n")
 
 
@@ -407,14 +409,13 @@ REPORT_COLUMNS = ("epoch", "train_loss", "val_loss", "test_acc",
 def save_report(path, report: TrainReport, extra_meta: dict | None = None) -> None:
     """Learning curves as CSV (1-based epoch column) + sidecar metadata."""
     path = Path(path)
-    with open(path, "w", newline="") as fh:
+    curves = zip(report.train_loss, report.val_loss, report.test_acc,
+                 report.train_loss_s5, report.val_loss_s5, report.test_acc_s5)
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(REPORT_COLUMNS)
-        for i in range(len(report.train_loss)):
-            writer.writerow([i + 1] + [f"{v:.17g}" for v in (
-                report.train_loss[i], report.val_loss[i], report.test_acc[i],
-                report.train_loss_s5[i], report.val_loss_s5[i],
-                report.test_acc_s5[i])])
+        for epoch, values in enumerate(curves, start=1):
+            writer.writerow([epoch] + [f"{v:.17g}" for v in values])
     meta = {
         "n_test_items": report.n_test_items,
         "seeds": report.seeds,
@@ -424,9 +425,7 @@ def save_report(path, report: TrainReport, extra_meta: dict | None = None) -> No
     }
     if extra_meta:
         meta.update(extra_meta)
-    with open(path.with_name(path.stem + ".meta.json"), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(meta_path(path), meta)
 
 
 def load_report(path) -> TrainReport:
@@ -437,22 +436,19 @@ def load_report(path) -> TrainReport:
         header = next(reader, None)
         if header is None or tuple(header) != REPORT_COLUMNS:
             raise ParseError(f"{path} is not a training report", line=1)
+        curves = (report.train_loss, report.val_loss, report.test_acc,
+                  report.train_loss_s5, report.val_loss_s5, report.test_acc_s5)
         for row in reader:
             if not row:
                 continue
-            report.train_loss.append(float(row[1]))
-            report.val_loss.append(float(row[2]))
-            report.test_acc.append(float(row[3]))
-            report.train_loss_s5.append(float(row[4]))
-            report.val_loss_s5.append(float(row[5]))
-            report.test_acc_s5.append(float(row[6]))
-    sidecar = path.with_name(path.stem + ".meta.json")
-    if sidecar.exists():
-        with open(sidecar) as fh:
-            meta = json.load(fh)
-        report.n_test_items = meta.get("n_test_items", 0)
-        report.seeds = meta.get("seeds", {})
-        report.hyperparams = meta.get("hyperparams", {})
-        report.representative_epoch = meta.get("representative_epoch")
-        report.representative_accuracy = meta.get("representative_accuracy")
+            check_width(row, len(REPORT_COLUMNS), path, reader.line_num)
+            for curve, v in zip(curves, parse_cells(row[1:], path,
+                                                     reader.line_num)):
+                curve.append(v)
+    meta = read_meta(path)
+    report.n_test_items = meta.get("n_test_items", 0)
+    report.seeds = meta.get("seeds", {})
+    report.hyperparams = meta.get("hyperparams", {})
+    report.representative_epoch = meta.get("representative_epoch")
+    report.representative_accuracy = meta.get("representative_accuracy")
     return report

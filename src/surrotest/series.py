@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-from .errors import LengthError, ParameterError
+from .errors import LengthError, ParameterError, ParseError
 
 
 @dataclass
@@ -51,3 +55,65 @@ def as_samples(series) -> np.ndarray:
     if arr.ndim != 1:
         raise ParameterError(f"expected a 1-D series, got shape {arr.shape}")
     return arr
+
+
+def parse_cells(tokens, path, line: int, kind=float) -> list:
+    """Cells converted by ``kind``; a bad cell raises ``ParseError``."""
+    values = []
+    for tok in tokens:
+        try:
+            values.append(kind(tok))
+        except ValueError:
+            raise ParseError(f"{path}: line {line}: cannot parse {tok.strip()!r} "
+                             "as a number", line=line) from None
+    return values
+
+
+def check_width(row, width: int, path, line: int) -> None:
+    """Raise ``ParseError`` for a CSV row that does not have ``width`` cells."""
+    if len(row) != width:
+        raise ParseError(f"{path}: line {line}: expected {width} fields, "
+                         f"got {len(row)}", line=line)
+
+
+def meta_path(path) -> Path:
+    """The JSON sidecar that goes with an artifact: ``<stem>.meta.json``."""
+    path = Path(path)
+    return path.with_name(path.stem + ".meta.json")
+
+
+def read_meta(path) -> dict:
+    """The sidecar of ``path``, or {} when there is none."""
+    sidecar = meta_path(path)
+    if not sidecar.exists():
+        return {}
+    with open(sidecar) as fh:
+        return json.load(fh)
+
+
+@contextmanager
+def atomic_open(path, newline=None):
+    """Open a temporary text file beside ``path`` for writing; it replaces
+    ``path`` only when the block succeeds, so a failed write leaves the old
+    file and no partial one."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def file_sha256(path) -> str:
+    import hashlib  # loads OpenSSL: not at import, so CLI start-up skips it
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def write_json(path, blob) -> None:
+    """Sorted, indented JSON with a trailing newline, written atomically."""
+    with atomic_open(path) as fh:
+        json.dump(blob, fh, indent=2, sort_keys=True)
+        fh.write("\n")

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 from pathlib import Path
@@ -5,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from surrotest import series, spectral
 from surrotest.cli import main
 from surrotest.dataset import save_series
 from surrotest.dynsys import flow_series
@@ -21,6 +23,30 @@ def snapshot(root: Path) -> dict:
 
 TINY = ["--L", "16", "--N", "6", "--epochs", "3", "--hidden-size", "3",
         "--max-iter", "20"]
+
+STAGES = ("generate", "surrogate", "dataset", "train", "report")
+
+
+def count_iaaft_calls(monkeypatch) -> list:
+    """Record one entry per IAAFT surrogate computed from now on."""
+    calls = []
+    real = spectral.iaaft_surrogate
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "iaaft_surrogate", counting)
+    return calls
+
+
+def without_out_line(snap: dict) -> dict:
+    """Snapshot with the frozen config's own output path dropped."""
+    frozen = snap["config.frozen.json"].split(b"\n")
+    snap = dict(snap)
+    snap["config.frozen.json"] = b"\n".join(
+        line for line in frozen if not line.startswith(b'  "out": '))
+    return snap
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +137,48 @@ def test_train_and_report_stages(tmp_path, capsys):
         assert key in verdict
 
 
+@pytest.mark.parametrize("system", ["henon", "ar1"])
+def test_staged_run_matches_pipeline(tmp_path, system):
+    flags = ["--system", system, "--seed", "13"] + TINY
+    for stage in STAGES:
+        assert run_cli(stage, *flags, "--out", tmp_path / "staged") == 0
+    assert run_cli("pipeline", *flags, "--out", tmp_path / "piped") == 0
+    staged = without_out_line(snapshot(tmp_path / "staged"))
+    piped = without_out_line(snapshot(tmp_path / "piped"))
+    assert staged.keys() == piped.keys()
+    for name in staged:
+        assert staged[name] == piped[name], name
+
+
+def test_staged_run_computes_each_surrogate_once(tmp_path, monkeypatch):
+    flags = ["--system", "logistic", "--seed", "14", "--out", tmp_path] + TINY
+    calls = count_iaaft_calls(monkeypatch)
+    for stage in STAGES:
+        assert run_cli(stage, *flags) == 0
+    assert len(calls) == 6
+    meta = json.loads((tmp_path / "surrogates.meta.json").read_text())
+    assert meta["surrogate"]["max_iter"] == 20
+    assert len(meta["source_sha256"]) == 64
+
+
+@pytest.mark.parametrize("change", [["--seed", "16"], ["--max-iter", "7"]])
+def test_dataset_recomputes_stale_surrogates(tmp_path, monkeypatch, change):
+    # Flags given twice take their last value.
+    base = ["--system", "logistic", "--seed", "15"] + TINY
+    out = tmp_path / "run"
+    assert run_cli("generate", *base, "--out", out) == 0
+    assert run_cli("surrogate", *base, "--out", out) == 0
+    if change[0] == "--seed":
+        assert run_cli("generate", *base, *change, "--out", out) == 0
+    calls = count_iaaft_calls(monkeypatch)
+    assert run_cli("dataset", *base, *change, "--out", out) == 0
+    assert len(calls) == 6
+    fresh = tmp_path / "fresh"
+    assert run_cli("pipeline", *base, *change, "--out", fresh) == 0
+    assert (out / "dataset.csv").read_bytes() == \
+        (fresh / "dataset.csv").read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # pipeline
 # ---------------------------------------------------------------------------
@@ -192,6 +260,56 @@ def test_pipeline_stage_failure_names_stage(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "stage 'generate'" in err
+
+
+def test_pipeline_keeps_stage_error_type(tmp_path, capsys):
+    record = tmp_path / "record.txt"
+    record.write_text("0.1\n0.2\nfoo\n0.4\n")
+    for command in ("generate", "pipeline"):
+        code = run_cli(command, "--system", "file", "--input", record,
+                       "--out", tmp_path / command, *TINY)
+        err = capsys.readouterr().err
+        assert code == 2, command
+        assert "error[ParseError]" in err and "line 3" in err, command
+    assert "stage 'generate'" in err
+
+
+class _HalfWriter:
+    """A file that writes half of what it is given, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[:len(data) // 2])
+        self.fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_failed_write_keeps_previous_artifact(tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    flags = ["--system", "logistic", "--L", "16", "--N", "4", "--out", out]
+    assert run_cli("generate", *flags, "--seed", "1") == 0
+    before = snapshot(out)
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        fh = open(file, mode, *args, **kwargs)
+        if "w" in mode and "realizations.csv" in str(file):
+            return _HalfWriter(fh)
+        return fh
+
+    monkeypatch.setattr(series, "open", failing_open, raising=False)
+    assert run_cli("generate", *flags, "--seed", "2") == 1
+    after = snapshot(out)
+    assert after.keys() == before.keys()
+    assert after["realizations.csv"] == before["realizations.csv"]
+    assert after["realizations.meta.json"] == before["realizations.meta.json"]
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surrotest.dataset import (FilterSpec, build_dataset,
-                               butterworth_lowpass,
+from surrotest.dataset import (SPLITS, FilterSpec, LabeledDataset,
+                               build_dataset, butterworth_lowpass,
                                design_butterworth_lowpass, load_dataset,
-                               load_series, save_dataset, save_series,
-                               split_dataset, standardize)
-from surrotest.dynsys import make_realizations
+                               load_series, pair_surrogates, save_dataset,
+                               save_series, split_dataset, standardize)
+from surrotest.dynsys import (load_realizations, make_realizations,
+                              save_realizations)
 from surrotest.errors import (LengthError, ParameterError, ParseError,
                               SplitError)
 from surrotest.series import TimeSeries
@@ -177,28 +178,32 @@ def test_build_single_pair():
     originals = make_realizations("logistic", 16, 1, seed=23)
     ds = build_dataset(originals, SurrogateConfig(seed=24))
     assert len(ds) == 2
-    assert sorted(it.label for it in ds.items) == [0, 1]
-    assert len({it.pair_id for it in ds.items}) == 1
+    assert sorted(ds.y.tolist()) == [0, 1]
+    assert len(set(ds.pair_id.tolist())) == 1
 
 
 def test_build_label_balance(small_dataset):
-    labels = [it.label for it in small_dataset.items]
-    assert np.mean(labels) == 0.5
+    assert np.mean(small_dataset.y) == 0.5
 
 
 def test_build_surrogate_multiset_per_pair(small_dataset):
-    by_pair = {}
-    for it in small_dataset.items:
-        by_pair.setdefault(it.pair_id, {})[it.label] = it
-    for pid, pair in by_pair.items():
-        orig, surr = pair[1], pair[0]
-        assert np.array_equal(np.sort(orig.raw), np.sort(surr.raw)), pid
+    # The surrogates that build_dataset standardizes share each original's
+    # value multiset exactly.
+    originals = make_realizations("logistic", 16, 10, seed=21)
+    results = pair_surrogates(originals, SurrogateConfig(seed=22))
+    for pid, (orig, res) in enumerate(zip(originals, results)):
+        assert np.array_equal(np.sort(orig.samples),
+                              np.sort(res.surrogate.samples)), pid
+        assert np.array_equal(small_dataset.X[2 * pid],
+                              standardize(orig).samples), pid
+        assert np.array_equal(small_dataset.X[2 * pid + 1],
+                              standardize(res.surrogate).samples), pid
 
 
 def test_build_items_are_standardized(small_dataset):
-    for it in small_dataset.items:
-        assert abs(it.samples.mean()) < 1e-12
-        assert abs(np.mean(it.samples**2) - 1.0) < 1e-9
+    for row in small_dataset.X:
+        assert abs(row.mean()) < 1e-12
+        assert abs(np.mean(row**2) - 1.0) < 1e-9
 
 
 def test_build_rejects_mixed_lengths():
@@ -214,16 +219,14 @@ def test_build_rejects_mixed_lengths():
 
 def test_split_fractions_match_reference_sizes():
     # 1000 pairs -> 250 test, 225 validation (30% of 750), 525 train.
-    items = []
     rng = np.random.default_rng(4)
-    originals = [TimeSeries(rng.normal(size=8)) for _ in range(1000)]
-    from surrotest.dataset import DatasetItem, LabeledDataset
-    for pid, o in enumerate(originals):
-        items.append(DatasetItem(o.samples, o.samples, 1, pid))
-        items.append(DatasetItem(o.samples, o.samples, 0, pid))
-    ds = LabeledDataset(items=items, L=8)
+    originals = rng.normal(size=(1000, 8))
+    ds = LabeledDataset(X=np.repeat(originals, 2, axis=0),
+                        y=np.tile([1, 0], 1000),
+                        pair_id=np.repeat(np.arange(1000), 2),
+                        split=np.full(2000, ""))
     out = split_dataset(ds, seed=5)
-    counts = {tag: len({it.pair_id for it in out.subset(tag)})
+    counts = {tag: len(set(out.pair_id[out.split == tag].tolist()))
               for tag in ("train", "validation", "test")}
     assert counts == {"train": 525, "validation": 225, "test": 250}
 
@@ -232,29 +235,29 @@ def test_split_pairs_stay_together(small_dataset):
     for seed in range(5):
         out = split_dataset(small_dataset, seed=seed)
         split_by_pair = {}
-        for it in out.items:
-            split_by_pair.setdefault(it.pair_id, set()).add(it.split)
+        for pid, tag in zip(out.pair_id.tolist(), out.split.tolist()):
+            split_by_pair.setdefault(pid, set()).add(tag)
         assert all(len(s) == 1 for s in split_by_pair.values())
 
 
 def test_split_is_exhaustive_partition(small_dataset):
     out = split_dataset(small_dataset, seed=6)
-    assert all(it.split in ("train", "validation", "test") for it in out.items)
-    assert len(out.items) == len(small_dataset.items)
+    assert all(tag in SPLITS for tag in out.split.tolist())
+    assert len(out) == len(small_dataset)
 
 
 def test_split_class_balance_within_splits(small_dataset):
     out = split_dataset(small_dataset, seed=7)
     for tag in ("train", "validation", "test"):
-        labels = [it.label for it in out.subset(tag)]
-        if labels:
+        labels = out.y[out.split == tag]
+        if labels.size:
             assert np.mean(labels) == 0.5
 
 
 def test_split_deterministic(small_dataset):
     a = split_dataset(small_dataset, seed=8)
     b = split_dataset(small_dataset, seed=8)
-    assert [it.split for it in a.items] == [it.split for it in b.items]
+    assert a.split.tolist() == b.split.tolist()
 
 
 def test_split_rejects_tiny_dataset():
@@ -275,8 +278,51 @@ def test_dataset_round_trip(tmp_path, small_dataset):
     loaded = load_dataset(path)
     assert loaded.L == ds.L
     assert len(loaded) == len(ds)
-    for a, b in zip(ds.items, loaded.items):
-        assert a.pair_id == b.pair_id
-        assert a.label == b.label
-        assert a.split == b.split
-        assert np.array_equal(a.samples, b.samples)
+    assert np.array_equal(ds.pair_id, loaded.pair_id)
+    assert np.array_equal(ds.y, loaded.y)
+    assert ds.split.tolist() == loaded.split.tolist()
+    assert np.array_equal(ds.X, loaded.X)
+
+
+@pytest.fixture(scope="module")
+def saved_csvs(tmp_path_factory):
+    """A realization CSV and a dataset CSV, each with its sidecar."""
+    root = tmp_path_factory.mktemp("saved")
+    originals = make_realizations("logistic", 16, 6, seed=40)
+    save_realizations(root / "realizations.csv", originals)
+    ds = split_dataset(build_dataset(originals, SurrogateConfig(seed=41)),
+                       seed=42)
+    save_dataset(root / "dataset.csv", ds)
+    return root
+
+
+# loader, header lines, index of the one non-numeric cell
+LOADERS = {"realizations.csv": (load_realizations, 0, None),
+           "dataset.csv": (load_dataset, 1, 2)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(LOADERS)), row=st.integers(0, 100),
+       cell=st.integers(0, 100), truncate=st.booleans(),
+       token=st.sampled_from(["x", "", "1..2", "--3", "0x1p", "1e", "n a n"]))
+def test_loaders_name_line_of_corrupt_row(saved_csvs, name, row, cell,
+                                          truncate, token):
+    loader, header, text_cell = LOADERS[name]
+    lines = (saved_csvs / name).read_bytes().decode().split("\r\n")[:-1]
+    data = len(lines) - header
+    index = header + row % data
+    cells = lines[index].split(",")
+    if truncate:
+        cells = cells[:1 + cell % (len(cells) - 1)]
+    else:
+        numeric = [i for i in range(len(cells)) if i != text_cell]
+        cells[numeric[cell % len(numeric)]] = token
+    lines[index] = ",".join(cells)
+    path = saved_csvs / f"corrupt-{name}"
+    path.write_bytes("".join(line + "\r\n" for line in lines).encode())
+    path.with_name(path.stem + ".meta.json").write_bytes(
+        (saved_csvs / name).with_name(name[:-4] + ".meta.json").read_bytes())
+    with pytest.raises(ParseError) as info:
+        loader(path)
+    assert info.value.line == index + 1
+    assert str(path) in str(info.value)

@@ -3,7 +3,7 @@ import pytest
 
 from surrotest.dataset import build_dataset, split_dataset
 from surrotest.dynsys import make_realizations
-from surrotest.errors import ParameterError
+from surrotest.errors import ParameterError, ParseError
 from surrotest.rnn import (AdamState, RnnModel, TrainConfig, adam_init,
                            adam_step, bce_loss, bptt_gradients,
                            clip_gradients, evaluate, init_model, load_model,
@@ -248,19 +248,14 @@ def test_train_zero_epochs_returns_initialization(toy_dataset):
 def test_train_memorizes_tiny_problem():
     # Two fixed pairs, overparameterized: loss must fall over 200 epochs.
     rng = np.random.default_rng(8)
-    from surrotest.dataset import DatasetItem, LabeledDataset
-    items = []
-    for pid in range(2):
-        x = rng.normal(size=8)
-        items.append(DatasetItem(x, x, 1, pid, "train"))
-        y = rng.normal(size=8)
-        items.append(DatasetItem(y, y, 0, pid, "train"))
-    for it in list(items):
-        items.append(DatasetItem(it.samples, it.raw, it.label, it.pair_id,
-                                 "validation"))
-        items.append(DatasetItem(it.samples, it.raw, it.label, it.pair_id,
-                                 "test"))
-    ds = LabeledDataset(items=items, L=8)
+    from surrotest.dataset import LabeledDataset
+    X = rng.normal(size=(4, 8))             # original, surrogate per pair
+    y, pid = np.tile([1, 0], 2), np.repeat([0, 1], 2)
+    ds = LabeledDataset(X=np.concatenate([X, np.repeat(X, 2, axis=0)]),
+                        y=np.concatenate([y, np.repeat(y, 2)]),
+                        pair_id=np.concatenate([pid, np.repeat(pid, 2)]),
+                        split=np.array(["train"] * 4
+                                       + ["validation", "test"] * 4))
     _, report = train(9, ds, 200, TrainConfig(hidden_size=8, lr=1e-2,
                                               shuffle_seed=10))
     assert report.train_loss[-1] < report.train_loss[0]
@@ -315,3 +310,11 @@ def test_report_round_trip(tmp_path, toy_dataset):
     assert loaded.test_acc_s5 == report.test_acc_s5
     assert loaded.n_test_items == report.n_test_items
     assert loaded.representative_epoch == report.representative_epoch
+
+
+def test_report_bad_header_is_parse_error(tmp_path):
+    path = tmp_path / "report.csv"
+    path.write_text("epoch,loss\n1,0.5\n")
+    with pytest.raises(ParseError) as info:
+        load_report(path)
+    assert info.value.line == 1
