@@ -191,16 +191,8 @@ class LabeledDataset:
 
 def pair_surrogates(originals, config: SurrogateConfig) -> list:
     """One surrogate per original, on independent per-pair seed streams."""
-    results = []
-    for pid, orig in enumerate(originals):
-        pair_config = replace(config, seed=derived_seed(config.seed, pid))
-        try:
-            results.append(make_surrogate(orig, pair_config))
-        except Exception as exc:
-            raise RuntimeError(
-                f"surrogate generation failed for pair {pid}: {exc}"
-            ) from exc
-    return results
+    return [make_surrogate(orig, replace(config, seed=derived_seed(config.seed, pid)))
+            for pid, orig in enumerate(originals)]
 
 
 def build_dataset(originals, config: SurrogateConfig,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -58,14 +59,17 @@ def as_samples(series) -> np.ndarray:
 
 
 def parse_cells(tokens, path, line: int, kind=float) -> list:
-    """Cells converted by ``kind``; a bad cell raises ``ParseError``."""
+    """Cells converted by ``kind``; a bad or non-finite cell raises
+    ``ParseError``."""
     values = []
     for tok in tokens:
         try:
             values.append(kind(tok))
+            if not math.isfinite(values[-1]):
+                raise ValueError
         except ValueError:
             raise ParseError(f"{path}: line {line}: cannot parse {tok.strip()!r} "
-                             "as a number", line=line) from None
+                             "as a finite number", line=line) from None
     return values
 
 

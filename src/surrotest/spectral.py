@@ -10,15 +10,16 @@ hypothesis about the input series:
   * iaaft   -- as aaft, but iteratively refined so the surrogate matches
                both the amplitude spectrum and the value distribution
 
-The transform is a hand-rolled radix-2 FFT for power-of-two lengths (the
-working lengths 32/64/128 all qualify) with a direct O(n^2) transform as
-the general fallback.  Forward is unnormalized; inverse divides by n.
+Every transform is numpy.fft, reached as ``np.fft`` at call time so that
+importing this module does not load it.  Forward is unnormalized; inverse
+divides by n.  The projections that must return a real series use the
+half-spectrum pair rfft/irfft, which is real by construction; spectral
+discrepancies are measured over the full spectrum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -53,63 +54,12 @@ class Spectrum:
         return np.abs(self.coeffs) ** 2
 
 
-@lru_cache(maxsize=32)
-def _bit_reversal(n: int) -> np.ndarray:
-    """Bit-reversal permutation for power-of-two n."""
-    bits = n.bit_length() - 1
-    idx = np.arange(n, dtype=np.int64)
-    rev = np.zeros(n, dtype=np.int64)
-    for _ in range(bits):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    return rev
-
-
-@lru_cache(maxsize=32)
-def _twiddles(n: int) -> tuple:
-    """Per-stage twiddle factor tables for a length-n radix-2 transform."""
-    tables = []
-    m = 2
-    while m <= n:
-        tables.append(np.exp(-2j * np.pi * np.arange(m // 2) / m))
-        m *= 2
-    return tuple(tables)
-
-
-def _fft_pow2(x: np.ndarray) -> np.ndarray:
-    """Iterative radix-2 Cooley-Tukey transform, len(x) a power of two."""
-    n = x.size
-    out = np.array(x[_bit_reversal(n)], dtype=complex)
-    for w in _twiddles(n):
-        m = 2 * w.size
-        blocks = out.reshape(-1, m)
-        upper = blocks[:, : m // 2].copy()
-        lower = blocks[:, m // 2:] * w
-        blocks[:, : m // 2] = upper + lower
-        blocks[:, m // 2:] = upper - lower
-    return out
-
-
-def _dft_direct(x: np.ndarray) -> np.ndarray:
-    """O(n^2) transform for lengths without a radix-2 path."""
-    n = x.size
-    k = np.arange(n)
-    kernel = np.exp(-2j * np.pi * np.outer(k, k) / n)
-    return kernel @ np.asarray(x, dtype=complex)
-
-
-def _dft(x: np.ndarray) -> np.ndarray:
-    n = x.size
-    if n == 0:
-        raise LengthError("cannot transform an empty series")
-    if n & (n - 1) == 0:
-        return _fft_pow2(x)
-    return _dft_direct(x)
-
-
 def dft(series) -> Spectrum:
     """Unnormalized forward transform of a series."""
-    return Spectrum(_dft(as_samples(series)))
+    x = as_samples(series)
+    if x.size == 0:
+        raise LengthError("cannot transform an empty series")
+    return Spectrum(np.fft.fft(x))
 
 
 def idft(spectrum) -> np.ndarray:
@@ -124,8 +74,7 @@ def idft(spectrum) -> np.ndarray:
     )
     if coeffs.size == 0:
         raise LengthError("cannot invert an empty spectrum")
-    n = coeffs.size
-    return np.conj(_dft(np.conj(coeffs))) / n
+    return np.fft.ifft(coeffs)
 
 
 def idft_real(spectrum) -> np.ndarray:
@@ -213,8 +162,8 @@ def spectral_discrepancy(a, b) -> float:
     xb = as_samples(b)
     if xa.size != xb.size:
         raise LengthError(f"length mismatch: {xa.size} != {xb.size}")
-    amp_a = np.abs(_dft(xa))
-    amp_b = np.abs(_dft(xb))
+    amp_a = dft(xa).amplitudes
+    amp_b = dft(xb).amplitudes
     denom = np.sqrt(np.mean(amp_a**2))
     if denom == 0.0:
         raise NormalizationError("reference series has zero spectral energy")
@@ -261,20 +210,15 @@ def _phase_randomized(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Randomize the free Fourier phases of a real series.
 
     The DC bin (and the Nyquist bin for even lengths) is self-conjugate
-    and is left untouched; every other bin in the lower half gets a fresh
-    uniform phase, mirrored to its conjugate partner so the inverse
-    transform is real.
+    and is left untouched; every other bin of the half spectrum gets a
+    fresh uniform phase.
     """
     n = x.size
-    coeffs = _dft(x)
+    coeffs = np.fft.rfft(x)
     n_free = (n - 1) // 2
-    out = coeffs.copy()
-    if n_free > 0:
-        phases = rng.uniform(0.0, _TWO_PI, size=n_free)
-        rotated = np.abs(coeffs[1 : n_free + 1]) * np.exp(1j * phases)
-        out[1 : n_free + 1] = rotated
-        out[n - n_free :] = np.conj(rotated[::-1])
-    return idft_real(out)
+    phases = rng.uniform(0.0, _TWO_PI, size=n_free)
+    coeffs[1 : n_free + 1] = np.abs(coeffs[1 : n_free + 1]) * np.exp(1j * phases)
+    return np.fft.irfft(coeffs, n)
 
 
 def ft_surrogate(series, seed: int = 0) -> SurrogateResult:
@@ -311,8 +255,11 @@ def iaaft_surrogate(series, config: SurrogateConfig | None = None) -> SurrogateR
     original amplitude spectrum (keeping the current phases) and then
     restores the original value multiset by rank ordering.  The loop stops
     once the relative spectral discrepancy of the rank-ordered iterate
-    drops to ``config.tolerance`` or after ``config.max_iter`` iterations,
-    and the iterate with the smallest observed discrepancy is returned.
+    drops to ``config.tolerance``, once an iteration returns its own input
+    (a fixed point: every later iteration would repeat it, so the result is
+    what the full budget would give), or after ``config.max_iter``
+    iterations, and the iterate with the smallest observed discrepancy is
+    returned.  ``converged`` means the tolerance was reached.
 
     Because rank ordering is the final step of every iteration, the output
     multiset always equals the input multiset exactly; the residual error
@@ -329,7 +276,9 @@ def iaaft_surrogate(series, config: SurrogateConfig | None = None) -> SurrogateR
         return _result(series, x.copy(), [0.0], True)
 
     rng = np.random.default_rng(config.seed)
-    target_amp = np.abs(_dft(x))
+    n = x.size
+    target_amp = np.abs(np.fft.fft(x))
+    half_amp = target_amp[: n // 2 + 1]
     amp_rms = np.sqrt(np.mean(target_amp**2))
     sorted_x = np.sort(x)
 
@@ -338,23 +287,24 @@ def iaaft_surrogate(series, config: SurrogateConfig | None = None) -> SurrogateR
     best_disc = np.inf
     trace = []
     for _ in range(config.max_iter):
-        coeffs = _dft(candidate)
+        coeffs = np.fft.rfft(candidate)
         mags = np.abs(coeffs)
         # Keep phases; bins with zero magnitude get phase 1 by convention.
         phases = np.where(mags > 0.0, coeffs / np.where(mags > 0.0, mags, 1.0), 1.0)
-        spectrum_matched = idft_real(target_amp * phases)
+        spectrum_matched = np.fft.irfft(half_amp * phases, n)
         order = np.argsort(spectrum_matched, kind="stable")
-        candidate = np.empty_like(x)
-        candidate[order] = sorted_x
+        ranked = np.empty_like(x)
+        ranked[order] = sorted_x
         disc = float(
-            np.sqrt(np.mean((np.abs(_dft(candidate)) - target_amp) ** 2)) / amp_rms
+            np.sqrt(np.mean((np.abs(np.fft.fft(ranked)) - target_amp) ** 2)) / amp_rms
         )
         trace.append(disc)
         if disc < best_disc:
             best_disc = disc
-            best = candidate
-        if disc <= config.tolerance:
+            best = ranked
+        if disc <= config.tolerance or np.array_equal(ranked, candidate):
             break
+        candidate = ranked
 
     return _result(series, best, trace, best_disc <= config.tolerance)
 

@@ -274,6 +274,15 @@ def test_pipeline_keeps_stage_error_type(tmp_path, capsys):
     assert "stage 'generate'" in err
 
 
+def test_surrogate_stage_keeps_length_error(tmp_path, capsys):
+    short = tmp_path / "short.csv"
+    short.write_text("0.1,0.5,0.2\n0.3,0.9,0.4\n")
+    code = run_cli("surrogate", "--from", short, "--out", tmp_path / "run")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error[LengthError]" in err and "at least 4 samples" in err
+
+
 class _HalfWriter:
     """A file that writes half of what it is given, then fails."""
 

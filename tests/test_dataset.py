@@ -304,7 +304,8 @@ LOADERS = {"realizations.csv": (load_realizations, 0, None),
 @settings(max_examples=60, deadline=None)
 @given(name=st.sampled_from(sorted(LOADERS)), row=st.integers(0, 100),
        cell=st.integers(0, 100), truncate=st.booleans(),
-       token=st.sampled_from(["x", "", "1..2", "--3", "0x1p", "1e", "n a n"]))
+       token=st.sampled_from(["x", "", "1..2", "--3", "0x1p", "1e", "n a n",
+                              "nan", "inf", "1e400"]))
 def test_loaders_name_line_of_corrupt_row(saved_csvs, name, row, cell,
                                           truncate, token):
     loader, header, text_cell = LOADERS[name]

@@ -155,7 +155,7 @@ def test_ft_pure_dc_unchanged():
 
 
 def test_ft_output_is_real_reconstruction():
-    x = np.random.default_rng(9).normal(size=33)  # odd length, direct path
+    x = np.random.default_rng(9).normal(size=33)  # odd length: no Nyquist bin
     res = ft_surrogate(x, seed=5)
     # Reconstruction symmetry: inverse of the randomized spectrum has
     # negligible imaginary part (checked via the complex inverse).
@@ -233,6 +233,44 @@ def test_iaaft_converges_at_reachable_tolerance():
     res = iaaft_surrogate(x, SurrogateConfig(seed=4, tolerance=0.1, max_iter=100))
     assert res.converged
     assert min(res.discrepancy_trace) <= 0.1
+
+
+def full_budget_iaaft(x, config):
+    """Reference loop without the fixed-point stop: every iteration of the
+    budget runs unless the tolerance is met."""
+    rng = np.random.default_rng(config.seed)
+    target_amp = np.abs(np.fft.fft(x))
+    amp_rms = np.sqrt(np.mean(target_amp**2))
+    candidate = rng.permutation(x)
+    best, best_disc, trace = candidate, np.inf, []
+    for _ in range(config.max_iter):
+        coeffs = np.fft.fft(candidate)
+        phases = coeffs / np.abs(coeffs)
+        matched = np.fft.ifft(target_amp * phases).real
+        candidate = np.empty_like(x)
+        candidate[np.argsort(matched, kind="stable")] = np.sort(x)
+        disc = float(np.sqrt(np.mean(
+            (np.abs(np.fft.fft(candidate)) - target_amp) ** 2)) / amp_rms)
+        trace.append(disc)
+        if disc < best_disc:
+            best, best_disc = candidate, disc
+        if disc <= config.tolerance:
+            break
+    return best, trace
+
+
+@pytest.mark.parametrize("L", [32, 64, 128])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_iaaft_fixed_point_stop_matches_full_budget(L, seed):
+    x = np.random.default_rng(40 + L + seed).normal(size=L)
+    config = SurrogateConfig(seed=seed, max_iter=100)
+    res = iaaft_surrogate(x, config)
+    best, trace = full_budget_iaaft(x, config)
+    assert np.array_equal(res.surrogate.samples, best)
+    assert res.iterations < config.max_iter
+    assert res.discrepancy_trace == trace[:res.iterations]
+    assert min(res.discrepancy_trace) == min(trace)
+    assert not res.converged
 
 
 def test_iaaft_carries_series_metadata():
