@@ -28,7 +28,7 @@ from .dataset import (FilterSpec, LabeledDataset, build_dataset,
                       pair_surrogates, save_dataset, split_dataset)
 from .errors import ParameterError, SurrotestError
 from .seeding import stage_seed
-from .series import atomic_open, file_sha256, write_json
+from .series import atomic_open, file_sha256, read_json, write_json
 from .spectral import SurrogateConfig
 
 OUTPUT_ROOT_ENV = "SURROTEST_OUT"
@@ -139,8 +139,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     values = {}
     config_path = getattr(args, "config", None)
     if config_path:
-        with open(config_path) as fh:
-            file_values = json.load(fh)
+        file_values = read_json(config_path)
         unknown = set(file_values) - _CONFIG_FIELDS
         if unknown:
             raise ParameterError(

@@ -5,9 +5,13 @@ Chua) integrated with an adaptive embedded Runge-Kutta 5(4) scheme, and the
 stochastic control process: AR(1) noise pushed through the static transform
 y = x * sqrt(|x|).
 
-All generators are deterministic functions of (parameters, seed).  Batches
-of independent realizations use per-realization RNG streams derived from the
-batch seed (see ``seeding``), so results do not depend on generation order.
+Each system has one generator, which produces a batch of N independent
+realizations; a single series is the N=1 batch,
+``make_realizations(system, L, 1, seed=...)[0]``.  Generation is a
+deterministic function of (parameters, seed): each realization draws from
+its own RNG stream derived from the batch seed (see ``seeding``).  Flow
+batches are integrated in lockstep under one shared step-size control, so
+a flow realization's samples may depend on N, never on generation order.
 """
 
 from __future__ import annotations
@@ -87,54 +91,6 @@ class NoiseParams:
 
 
 # ---------------------------------------------------------------------------
-# Discrete maps
-# ---------------------------------------------------------------------------
-
-def iterate_logistic(x0: float, r: float, n: int, burn_in: int = 0) -> TimeSeries:
-    """n iterates of x -> r*x*(1-x), after discarding ``burn_in`` steps."""
-    if not (np.isfinite(x0) and 0.0 <= x0 <= 1.0):
-        raise ParameterError(f"x0 must be in [0, 1], got {x0}")
-    if not (np.isfinite(r) and 0.0 < r <= 4.0):
-        raise ParameterError(f"r must be in (0, 4], got {r}")
-    out = np.empty(n)
-    x = float(x0)
-    for i in range(burn_in + n):
-        x = r * x * (1.0 - x)
-        # The exact map never leaves [0, 1] for r <= 4; clamp the float
-        # dust at the x = 0.5 peak that would otherwise escape.
-        x = min(max(x, 0.0), 1.0)
-        if i >= burn_in:
-            out[i - burn_in] = x
-    return TimeSeries(out, meta={"system": "logistic", "r": r, "x0": x0,
-                                 "burn_in": burn_in})
-
-
-def henon_step(x: float, y: float, params: MapParams) -> tuple:
-    """One application of the Henon map."""
-    return 1.0 - params.a * x * x + y, params.b * x
-
-
-def iterate_henon(x0: float, y0: float, params: MapParams, n: int,
-                  burn_in: int = 0) -> TimeSeries:
-    """n iterates of the Henon map; the scalar series is the x-coordinate."""
-    if not (np.isfinite(x0) and np.isfinite(y0)):
-        raise ParameterError("initial state must be finite")
-    out = np.empty(n)
-    x, y = float(x0), float(y0)
-    for i in range(burn_in + n):
-        x, y = henon_step(x, y, params)
-        if abs(x) > ESCAPE_LIMIT:
-            raise DivergenceError(
-                f"Henon trajectory escaped (|x| > {ESCAPE_LIMIT:g}) at step {i}",
-                step=i,
-            )
-        if i >= burn_in:
-            out[i - burn_in] = x
-    return TimeSeries(out, meta={"system": "henon", "a": params.a, "b": params.b,
-                                 "x0": x0, "y0": y0, "burn_in": burn_in})
-
-
-# ---------------------------------------------------------------------------
 # Flows
 # ---------------------------------------------------------------------------
 
@@ -178,19 +134,20 @@ def flow_derivative(system: str, state, params: FlowParams | None = None) -> np.
     return np.stack([dx, dy, dz], axis=-1)
 
 
-# Dormand-Prince 5(4) tableau.  The last row of A equals B5, giving the
-# first-same-as-last property (k7 of an accepted step is k1 of the next).
+# Dormand-Prince 5(4) tableau.  Row s of the lower-triangular A gives stage
+# s from stages 0..s-1; row 6 equals B5, so the stage-6 state is the
+# fifth-order step and its derivative is k0 of the next step (first same as
+# last).
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+_DP_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+])
 # B5 - B4: coefficients of the embedded error estimate.
 _DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
                   22 / 525, -1 / 40])
@@ -248,10 +205,15 @@ def rk45_integrate(f, y0, t_end: float, dt_sample: float,
     times = np.empty(n_samples)
     states = np.empty((n_samples,) + y.shape)
 
+    # Stages k0..k6 in one array.  Coefficients broadcast over the state
+    # shape and the products are summed in stage order; a matrix product
+    # may reorder that sum and change the rounding of every sample.
+    K = np.empty((7,) + y.shape)
+    A = _DP_A.reshape(_DP_A.shape + (1,) * y.ndim)
+    E = _DP_E.reshape(_DP_E.shape + (1,) * y.ndim)
     t = t0
     h = min(dt_sample, span) * 0.01
-    k1 = f(t, y)
-    ks = [None] * 7
+    K[0] = f(t, y)
     for i_sample, t_target in enumerate(sample_times):
         while t < t_target:
             h = min(h, t_target - t)
@@ -261,16 +223,15 @@ def rk45_integrate(f, y0, t_end: float, dt_sample: float,
                     "the problem looks stiff"
                 )
             hit_boundary = h >= (t_target - t)
-            ks[0] = k1
             for s in range(1, 7):
-                ys = y + h * sum(a * ks[j] for j, a in enumerate(_DP_A[s]))
-                ks[s] = f(t + _DP_C[s] * h, ys)
-            y_new = y + h * sum(b * ks[j] for j, b in enumerate(_DP_B5) if b != 0.0)
+                y_new = y + h * (A[s, :s] * K[:s]).sum(axis=0)
+                K[s] = f(t + _DP_C[s] * h, y_new)
+            # y_new now holds the stage-6 state: the fifth-order step.
             if not np.all(np.isfinite(y_new)):
                 # A wild trial step, not necessarily a lost trajectory.
                 h = h * _MIN_FACTOR
                 continue
-            err = h * sum(e * ks[j] for j, e in enumerate(_DP_E) if e != 0.0)
+            err = h * (E * K).sum(axis=0)
             scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
             norm = _error_norm(err, scale)
             if norm <= 1.0:
@@ -280,7 +241,7 @@ def rk45_integrate(f, y0, t_end: float, dt_sample: float,
                     raise DivergenceError(
                         f"trajectory diverged near t={t:.6g}", time=t
                     )
-                k1 = ks[6]  # FSAL
+                K[0] = K[6]  # FSAL
                 factor = _MAX_FACTOR if norm == 0.0 else min(
                     _MAX_FACTOR, _SAFETY * norm ** -0.2
                 )
@@ -290,31 +251,6 @@ def rk45_integrate(f, y0, t_end: float, dt_sample: float,
         times[i_sample] = t_target
         states[i_sample] = y
     return times, states
-
-
-def flow_series(system: str, n: int, params: FlowParams | None = None,
-                y0=None, seed: int | None = None,
-                dt_sample: float | None = None, burn_in: float = FLOW_BURN_IN,
-                rel_tol: float = 1e-9, abs_tol: float = 1e-12) -> TimeSeries:
-    """x-coordinate of one flow trajectory, sampled after burn-in."""
-    if params is None:
-        params = FlowParams()
-    if dt_sample is None:
-        dt_sample = FLOW_DT[system]
-    if y0 is None:
-        y0 = _flow_initial_conditions(system, 1, seed if seed is not None else 0)[0]
-    f = lambda t, y: flow_derivative(system, y, params)
-    y_start = np.asarray(y0, dtype=float)
-    if burn_in > 0:
-        _, burn_states = rk45_integrate(f, y_start, t_end=burn_in,
-                                        dt_sample=burn_in,
-                                        rel_tol=rel_tol, abs_tol=abs_tol)
-        y_start = burn_states[-1]
-    _, states = rk45_integrate(f, y_start, t_end=n * dt_sample,
-                               dt_sample=dt_sample,
-                               rel_tol=rel_tol, abs_tol=abs_tol)
-    return TimeSeries(states[:, 0], dt=dt_sample,
-                      meta={"system": system, "seed": seed, "burn_in": burn_in})
 
 
 # Reference attractor points used to seed independent initial conditions;
@@ -332,47 +268,6 @@ def _flow_initial_conditions(system: str, count: int, seed: int) -> np.ndarray:
     for i in range(count):
         y0[i] = ref + substream(seed, i).uniform(-scale, scale, size=3)
     return y0
-
-
-# ---------------------------------------------------------------------------
-# AR(1) noise with a static nonlinear observation
-# ---------------------------------------------------------------------------
-
-def generate_ar1_nonlinear(params: NoiseParams, n: int, seed: int = 0,
-                           burn_in: int = NOISE_BURN_IN,
-                           x0: float | None = None,
-                           innovations=None) -> TimeSeries:
-    """AR(1) process observed through the static transform y = x*sqrt(|x|).
-
-    The latent state starts in the stationary distribution
-    Normal(0, 1/(1-alpha^2)) unless ``x0`` is given; a burn-in is applied
-    on top for safety.  ``innovations`` overrides the random innovations
-    (useful for deterministic checks) and must have length
-    ``burn_in + n - 1``.
-    """
-    alpha = params.alpha
-    if n < 1:
-        raise ParameterError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    start = float(x0) if x0 is not None else float(
-        rng.normal(0.0, 1.0 / np.sqrt(1.0 - alpha * alpha))
-    )
-    n_innov = burn_in + n - 1
-    if innovations is None:
-        eps = rng.standard_normal(n_innov)
-    else:
-        eps = np.asarray(innovations, dtype=float)
-        if eps.size != n_innov:
-            raise ParameterError(f"expected {n_innov} innovations, got {eps.size}")
-
-    path = np.empty(burn_in + n)
-    path[0] = start
-    for i, e in enumerate(eps):
-        path[i + 1] = alpha * path[i] + e
-    xs = path[burn_in:]
-    y = xs * np.sqrt(np.abs(xs))
-    return TimeSeries(y, meta={"system": "ar1", "alpha": alpha, "seed": seed,
-                               "burn_in": burn_in})
 
 
 # ---------------------------------------------------------------------------
@@ -422,14 +317,12 @@ def _batch_henon(L, N, seed, params):
     return out
 
 
-def _batch_flow(system, L, N, seed, params, rel_tol=1e-9, abs_tol=1e-12):
+def _batch_flow(system, L, N, seed, params):
     dt = FLOW_DT[system]
     y0 = _flow_initial_conditions(system, N, seed)
     f = lambda t, y: flow_derivative(system, y, params)
-    _, burn = rk45_integrate(f, y0, t_end=FLOW_BURN_IN, dt_sample=FLOW_BURN_IN,
-                             rel_tol=rel_tol, abs_tol=abs_tol)
-    _, states = rk45_integrate(f, burn[-1], t_end=L * dt, dt_sample=dt,
-                               rel_tol=rel_tol, abs_tol=abs_tol)
+    _, burn = rk45_integrate(f, y0, t_end=FLOW_BURN_IN, dt_sample=FLOW_BURN_IN)
+    _, states = rk45_integrate(f, burn[-1], t_end=L * dt, dt_sample=dt)
     # states: (L, N, 3) -> x-coordinate per realization
     return states[:, :, 0].T.copy()
 

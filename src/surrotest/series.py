@@ -86,13 +86,21 @@ def meta_path(path) -> Path:
     return path.with_name(path.stem + ".meta.json")
 
 
+def read_json(path):
+    """The parsed JSON file ``path``; malformed JSON raises ``ParseError``
+    naming the file and line."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}",
+                             line=exc.lineno) from None
+
+
 def read_meta(path) -> dict:
     """The sidecar of ``path``, or {} when there is none."""
     sidecar = meta_path(path)
-    if not sidecar.exists():
-        return {}
-    with open(sidecar) as fh:
-        return json.load(fh)
+    return read_json(sidecar) if sidecar.exists() else {}
 
 
 @contextmanager

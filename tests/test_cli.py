@@ -9,7 +9,7 @@ import pytest
 from surrotest import series, spectral
 from surrotest.cli import main
 from surrotest.dataset import save_series
-from surrotest.dynsys import flow_series
+from surrotest.dynsys import make_realizations
 
 
 def run_cli(*argv):
@@ -218,7 +218,7 @@ def test_pipeline_reruns_from_frozen_config(tmp_path):
 def test_pipeline_on_user_record(tmp_path):
     # Synthetic stand-in for an experimental record: single-column file,
     # filtered and windowed before the usual pipeline.
-    record = flow_series("lorenz", 600, seed=11, rel_tol=1e-6, abs_tol=1e-9)
+    record = make_realizations("lorenz", 600, 1, seed=11)[0]
     rec_path = tmp_path / "record.txt"
     save_series(rec_path, record)
     out = tmp_path / "run"
@@ -281,6 +281,26 @@ def test_surrogate_stage_keeps_length_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "error[LengthError]" in err and "at least 4 samples" in err
+
+
+@pytest.mark.parametrize("broken", ["sidecar", "config"])
+def test_truncated_json_is_parse_error(tmp_path, capsys, broken):
+    out = tmp_path / "run"
+    assert run_cli("generate", "--system", "logistic", "--L", "16",
+                   "--N", "3", "--out", out) == 0
+    if broken == "sidecar":
+        target = out / "realizations.meta.json"
+        argv = ["surrogate", "--out", out]
+    else:
+        target = tmp_path / "cfg.json"
+        target.write_text((out / "config.frozen.json").read_text())
+        argv = ["generate", "--config", target, "--out", tmp_path / "again"]
+    text = target.read_text()
+    target.write_text(text[:len(text) // 2])
+    code = run_cli(*argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error[ParseError]" in err and f"{target}: line " in err
 
 
 class _HalfWriter:

@@ -1,14 +1,20 @@
 import numpy as np
 import pytest
 
-from surrotest.dynsys import (FlowParams, MapParams, NoiseParams,
-                              chua_nonlinearity, flow_derivative,
-                              generate_ar1_nonlinear, iterate_henon,
-                              iterate_logistic, load_realizations,
+from surrotest.dynsys import (MAP_BURN_IN, NOISE_BURN_IN, FlowParams,
+                              MapParams, NoiseParams, chua_nonlinearity,
+                              flow_derivative, load_realizations,
                               make_realizations, rk45_integrate,
                               save_realizations)
 from surrotest.errors import (DivergenceError, LengthError, ParameterError)
+from surrotest.seeding import substream
 from surrotest.series import TimeSeries
+
+
+def batch(system, L, N, seed, params=None) -> np.ndarray:
+    """The (N, L) sample matrix of a generated batch."""
+    return np.array([r.samples for r in
+                     make_realizations(system, L, N, seed=seed, params=params)])
 
 
 # ---------------------------------------------------------------------------
@@ -16,70 +22,66 @@ from surrotest.series import TimeSeries
 # ---------------------------------------------------------------------------
 
 def test_logistic_one_step():
-    ts = iterate_logistic(0.2, 4.0, 1)
-    assert ts.samples[0] == pytest.approx(0.64, abs=1e-15)
+    # Every sample is one step of the clipped map from the previous one.
+    for r in (4.0, 3.7):
+        x = batch("logistic", 64, 8, seed=1, params=MapParams(r=r))
+        step = np.clip(r * x[:, :-1] * (1.0 - x[:, :-1]), 0.0, 1.0)
+        assert np.array_equal(x[:, 1:], step)
 
 
 def test_logistic_fixed_point_zero():
-    ts = iterate_logistic(0.0, 4.0, 25)
-    assert np.all(ts.samples == 0.0)
-
-
-def test_logistic_second_step():
-    ts = iterate_logistic(0.64, 4.0, 1)
-    assert ts.samples[0] == pytest.approx(0.9216, abs=1e-15)
-
-
-def test_logistic_stays_in_unit_interval():
-    for seed in range(5):
-        x0 = np.random.default_rng(seed).uniform(0.01, 0.99)
-        ts = iterate_logistic(x0, 4.0, 5000)
-        assert np.all(ts.samples >= 0.0)
-        assert np.all(ts.samples <= 1.0)
-
-
-def test_logistic_rejects_bad_parameters():
-    with pytest.raises(ParameterError):
-        iterate_logistic(-0.1, 4.0, 5)
-    with pytest.raises(ParameterError):
-        iterate_logistic(0.5, 4.5, 5)
-    with pytest.raises(ParameterError):
-        iterate_logistic(float("nan"), 4.0, 5)
+    # For r < 1 the origin attracts; once there, the series stays at 0.
+    x = batch("logistic", 200, 4, seed=4, params=MapParams(r=0.5))
+    assert np.all(x[:, -100:] == 0.0)
 
 
 def test_logistic_burn_in_shifts_series():
-    full = iterate_logistic(0.2, 4.0, 10)
-    burned = iterate_logistic(0.2, 4.0, 7, burn_in=3)
-    assert np.array_equal(burned.samples, full.samples[3:])
+    # The first sample is iterate MAP_BURN_IN + 1 of the seeded start.
+    seed, r = 5, 4.0
+    x = batch("logistic", 16, 3, seed=seed)
+    start = np.array([substream(seed, i).uniform(0.1, 0.9) for i in range(3)])
+    for _ in range(MAP_BURN_IN + 1):
+        start = np.clip(r * start * (1.0 - start), 0.0, 1.0)
+    assert np.array_equal(x[:, 0], start)
+
+
+def test_logistic_stays_in_unit_interval():
+    x = batch("logistic", 5000, 5, seed=2)
+    assert np.all((x >= 0.0) & (x <= 1.0))
+
+
+def test_logistic_rejects_bad_parameters():
+    for r in (4.5, 0.0, float("nan")):
+        with pytest.raises(ParameterError):
+            MapParams(r=r)
 
 
 # ---------------------------------------------------------------------------
 # Henon map
 # ---------------------------------------------------------------------------
 
-def test_henon_from_origin():
-    ts = iterate_henon(0.0, 0.0, MapParams(), 1)
-    assert ts.samples[0] == pytest.approx(1.0, abs=1e-15)
-
-
-def test_henon_second_iterate():
-    ts = iterate_henon(1.0, 0.0, MapParams(), 1)
-    assert ts.samples[0] == pytest.approx(-0.4, abs=1e-15)
+def test_henon_recurrence_exact():
+    # x[t+1] = 1 - a*x[t]^2 + y[t], with y[t] = b*x[t-1].
+    for a, b in ((1.4, 0.3), (1.2, 0.2)):
+        x = batch("henon", 64, 8, seed=3, params=MapParams(a=a, b=b))
+        step = 1.0 - a * x[:, 1:-1] * x[:, 1:-1] + b * x[:, :-2]
+        assert np.array_equal(x[:, 2:], step)
 
 
 def test_henon_fixed_point_is_stationary():
-    # Positive root of a*x^2 + (1-b)*x - 1 = 0 for a=1.4, b=0.3.
-    a, b = 1.4, 0.3
+    # At a=0.2, b=0.3 the fixed point (positive root of
+    # a*x^2 + (1-b)*x - 1 = 0) attracts, so the burn-in lands on it.
+    a, b = 0.2, 0.3
     x_star = (-(1 - b) + np.sqrt((1 - b) ** 2 + 4 * a)) / (2 * a)
-    y_star = b * x_star
-    ts = iterate_henon(x_star, y_star, MapParams(), 10)
-    assert np.max(np.abs(ts.samples - x_star)) < 1e-12
+    x = batch("henon", 16, 4, seed=6, params=MapParams(a=a, b=b))
+    assert np.max(np.abs(x - x_star)) < 1e-12
 
 
 def test_henon_escape_names_step():
     with pytest.raises(DivergenceError) as err:
-        iterate_henon(50.0, 0.0, MapParams(), 100)
+        make_realizations("henon", 16, 4, seed=0, params=MapParams(a=5.0))
     assert err.value.step is not None
+    assert f"at step {err.value.step}" in str(err.value)
 
 
 # ---------------------------------------------------------------------------
@@ -216,27 +218,34 @@ def test_rk45_finite_time_blowup_underflows():
 # AR(1) + static nonlinearity
 # ---------------------------------------------------------------------------
 
-def test_ar1_deterministic_decay():
-    # No innovations: x halves each step, y = x^(3/2).
-    params = NoiseParams(0.5)
-    ts = generate_ar1_nonlinear(params, 3, burn_in=0, x0=1.0,
-                                innovations=np.zeros(2))
-    assert np.allclose(ts.samples, [1.0, 0.5**1.5, 0.25**1.5], atol=1e-12)
-    assert ts.samples[1] == pytest.approx(0.353553, abs=1e-6)
-    assert ts.samples[2] == pytest.approx(0.125, abs=1e-12)
+def latent(y: np.ndarray) -> np.ndarray:
+    """Invert the observation y = x * sqrt(|x|)."""
+    return np.sign(y) * np.abs(y) ** (2.0 / 3.0)
+
+
+def test_ar1_innovations_are_the_seeded_draws():
+    # Undoing the observation and the AR(1) step recovers each
+    # realization's own innovations, drawn after its initial state.
+    L, N, seed = 32, 4, 7
+    for alpha in (0.2, -0.5, 0.9):
+        x = latent(batch("ar1", L, N, seed, params=NoiseParams(alpha)))
+        for i in range(N):
+            rng = substream(seed, i)
+            rng.normal()  # stationary initial state
+            eps = rng.standard_normal(NOISE_BURN_IN + L - 1)[NOISE_BURN_IN:]
+            assert np.allclose(x[i, 1:] - alpha * x[i, :-1], eps,
+                               rtol=0.0, atol=1e-12)
 
 
 def test_ar1_memoryless_when_alpha_zero():
-    ts = generate_ar1_nonlinear(NoiseParams(0.0), 4000, seed=5)
-    x = np.sign(ts.samples) * np.abs(ts.samples) ** (2.0 / 3.0)  # invert y
-    lag1 = np.corrcoef(x[:-1], x[1:])[0, 1]
+    x = latent(batch("ar1", 400, 10, seed=5, params=NoiseParams(0.0)))
+    lag1 = np.corrcoef(x[:, :-1].ravel(), x[:, 1:].ravel())[0, 1]
     assert abs(lag1) < 3.0 / np.sqrt(x.size)
 
 
 def test_ar1_stationary_variance():
     # Monte Carlo check of var(x) = 1/(1 - alpha^2) at alpha = 0.8.
-    ts = generate_ar1_nonlinear(NoiseParams(0.8), 10**6, seed=6)
-    x = np.sign(ts.samples) * np.abs(ts.samples) ** (2.0 / 3.0)
+    x = latent(batch("ar1", 1000, 1000, seed=6, params=NoiseParams(0.8)))
     expected = 1.0 / (1.0 - 0.64)
     assert np.var(x) == pytest.approx(expected, rel=0.02)
 

@@ -156,12 +156,13 @@ def test_ft_pure_dc_unchanged():
 
 def test_ft_output_is_real_reconstruction():
     x = np.random.default_rng(9).normal(size=33)  # odd length: no Nyquist bin
-    res = ft_surrogate(x, seed=5)
-    # Reconstruction symmetry: inverse of the randomized spectrum has
-    # negligible imaginary part (checked via the complex inverse).
-    c = dft(res.surrogate.samples).coeffs
-    back = idft(c)
-    assert np.max(np.abs(back.imag)) < 1e-10
+    y = ft_surrogate(x, seed=5).surrogate.samples
+    assert y.dtype == np.float64 and y.shape == x.shape
+    assert np.all(np.isfinite(y))
+    # The DC bin is kept, so the mean is too; the free phases are not.
+    assert abs(y.mean() - x.mean()) < 1e-12
+    assert not np.allclose(y, x)
+    assert not np.allclose(y, ft_surrogate(x, seed=6).surrogate.samples)
 
 
 # ---------------------------------------------------------------------------
