@@ -133,6 +133,20 @@ class RunConfig:
 
 _CONFIG_FIELDS = {f.name for f in fields(RunConfig)}
 
+# The JSON values a config file may give a field, by its annotation.
+_JSON_TYPES = {"str": str, "int": int, "float": (int, float), "None": type(None)}
+
+
+def _check_config_types(values: dict, path) -> None:
+    for f in fields(RunConfig):
+        if f.name not in values:
+            continue
+        value = values[f.name]
+        allowed = tuple(_JSON_TYPES[name] for name in f.type.split(" | "))
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            raise ParameterError(
+                f"{path}: {f.name} must be {f.type}, got {json.dumps(value)}")
+
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults, config file, and command-line flags (flags win)."""
@@ -140,10 +154,15 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     config_path = getattr(args, "config", None)
     if config_path:
         file_values = read_json(config_path)
+        if not isinstance(file_values, dict):
+            raise ParameterError(
+                f"{config_path}: the top level must be a JSON object, "
+                f"got {json.dumps(file_values)}")
         unknown = set(file_values) - _CONFIG_FIELDS
         if unknown:
             raise ParameterError(
                 f"unknown config keys in {config_path}: {sorted(unknown)}")
+        _check_config_types(file_values, config_path)
         values.update(file_values)
     for name in _CONFIG_FIELDS:
         flag = getattr(args, name, None)

@@ -109,11 +109,16 @@ def design_butterworth_lowpass(spec: FilterSpec) -> tuple:
 
 
 def _iir_forward(b: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Single causal pass, direct form II transposed."""
+    """Single causal pass, direct form II transposed.
+
+    The recurrence runs on Python floats, which round like numpy float64
+    scalars but cost far less per operation.
+    """
     order = b.size - 1
-    z = np.zeros(order)
+    b, a = b.tolist(), a.tolist()
+    z = [0.0] * order
     y = np.empty_like(x)
-    for i, xi in enumerate(x):
+    for i, xi in enumerate(x.tolist()):
         yi = b[0] * xi + z[0]
         for k in range(order - 1):
             z[k] = b[k + 1] * xi + z[k + 1] - a[k + 1] * yi

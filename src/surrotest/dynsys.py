@@ -10,8 +10,10 @@ realizations; a single series is the N=1 batch,
 ``make_realizations(system, L, 1, seed=...)[0]``.  Generation is a
 deterministic function of (parameters, seed): each realization draws from
 its own RNG stream derived from the batch seed (see ``seeding``).  Flow
-batches are integrated in lockstep under one shared step-size control, so
-a flow realization's samples may depend on N, never on generation order.
+batches are integrated together, but every realization has its own
+step-size control, so realization i of a batch has the same samples
+whatever N is.  A flow's burn-in runs at looser tolerances than its
+sampled segment: it only has to land on the attractor.
 """
 
 from __future__ import annotations
@@ -36,6 +38,12 @@ NOISE_BURN_IN = 100         # steps
 # Sampling intervals chosen so a 32-sample window spans a few
 # characteristic oscillations of each flow.
 FLOW_DT = {"lorenz": 0.05, "rossler": 0.25, "chua": 0.05}
+
+# The burn-in only has to land on the attractor, and chaos erases any
+# accuracy beyond that, so it runs at looser tolerances than the sampled
+# segment (rk45_integrate's defaults, rel 1e-9 / abs 1e-12).
+BURN_IN_REL_TOL = 1e-6
+BURN_IN_ABS_TOL = 1e-9
 
 ESCAPE_LIMIT = 1e6          # map iterates
 ESCAPE_STATE_LIMIT = 1e12   # accepted flow states
@@ -157,12 +165,24 @@ _MAX_FACTOR = 5.0
 _SAFETY = 0.9
 
 
-def _error_norm(err: np.ndarray, scale: np.ndarray) -> float:
-    q = (err / scale) ** 2
-    if q.ndim <= 1:
-        return float(np.sqrt(q.mean()))
-    # Batched states: control the worst realization.
-    return float(np.sqrt(q.reshape(-1, q.shape[-1]).mean(axis=-1).max()))
+def _step_factors(norm: np.ndarray) -> np.ndarray:
+    """Step-size factor per row from its error norm: 0.9 * norm ** -0.2,
+    clipped to [_MIN_FACTOR, _MAX_FACTOR], so _MAX_FACTOR at norm 0.
+
+    ``float_power`` calls the C library's ``pow`` element by element, as
+    Python's float ``**`` does.  numpy's vectorised ``power`` may round the
+    last bit differently, and every later step of a chaotic flow would
+    inherit the difference.
+    """
+    with np.errstate(divide="ignore"):  # norm 0 grows the step the most
+        growth = _SAFETY * np.float_power(norm, -0.2)
+    return np.minimum(np.maximum(growth, _MIN_FACTOR), _MAX_FACTOR)
+
+
+def _row_name(row: int, lead: tuple) -> str:
+    if not lead:
+        return "trajectory"
+    return "row " + ", ".join(str(i) for i in np.unravel_index(row, lead))
 
 
 def rk45_integrate(f, y0, t_end: float, dt_sample: float,
@@ -174,14 +194,23 @@ def rk45_integrate(f, y0, t_end: float, dt_sample: float,
     positive multiple of ``dt_sample`` up to ``t_end`` (steps are clamped
     to sample boundaries, so samples carry no interpolation error).
 
+    The last axis of ``y0`` is the state; every leading index is one
+    independent realization, a row.  Each row has its own time, step size
+    and accept/reject decision, controlled by the RMS over the state axis
+    of its scaled error estimate.  The rows step together until every one
+    has reached the next sample time; a row already there takes no step.
+    A row's samples therefore depend on its own initial state only, not on
+    the other rows, and a 1-D ``y0`` is a single row.
+
     Parameters
     ----------
     f : callable
-        Right-hand side ``f(t, y) -> dy/dt``; must accept y of the same
-        shape as ``y0`` (scalars are promoted to shape-(1,) arrays).
+        Right-hand side ``f(t, y) -> dy/dt``.  ``y`` has the shape of
+        ``y0`` (scalars are promoted to shape-(1,) arrays) and ``t`` the
+        shape ``y0.shape[:-1] + (1,)``: one time per row, broadcasting
+        against ``y``.
     y0 : array_like
-        Initial state; any shape, e.g. (3,) for one flow or (N, 3) for a
-        batch integrated in lockstep under a shared error control.
+        Initial state: (3,) for one flow, (N, 3) for N realizations.
 
     Returns
     -------
@@ -194,7 +223,10 @@ def rk45_integrate(f, y0, t_end: float, dt_sample: float,
     if not (rel_tol > 0 and abs_tol > 0):
         raise ParameterError("tolerances must be positive")
 
-    y = np.atleast_1d(np.asarray(y0, dtype=float)).copy()
+    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
+    shape, lead = y0.shape, y0.shape[:-1]
+    y = y0.reshape(-1, shape[-1]).copy()  # (rows, state)
+    rows = y.shape[0]
     span = t_end - t0
     n_samples = int(np.floor(span / dt_sample + 1e-9))
     if n_samples < 1:
@@ -202,55 +234,64 @@ def rk45_integrate(f, y0, t_end: float, dt_sample: float,
     sample_times = t0 + dt_sample * np.arange(1, n_samples + 1)
     h_floor = 1e-12 * span
 
-    times = np.empty(n_samples)
-    states = np.empty((n_samples,) + y.shape)
+    states = np.empty((n_samples,) + shape)
 
-    # Stages k0..k6 in one array.  Coefficients broadcast over the state
-    # shape and the products are summed in stage order; a matrix product
-    # may reorder that sum and change the rounding of every sample.
+    # Stages k0..k6 in one array, seen by f in the shape of y0.  Coefficients
+    # broadcast over rows and state and the products are summed in stage
+    # order; a matrix product may reorder that sum and change the rounding
+    # of every sample.
     K = np.empty((7,) + y.shape)
-    A = _DP_A.reshape(_DP_A.shape + (1,) * y.ndim)
-    E = _DP_E.reshape(_DP_E.shape + (1,) * y.ndim)
-    t = t0
-    h = min(dt_sample, span) * 0.01
-    K[0] = f(t, y)
+    K_f = K.reshape((7,) + shape)
+    A = _DP_A[:, :, None, None]
+    E = _DP_E[:, None, None]
+    t_shape = lead + (1,)
+    t = np.full(rows, float(t0))
+    h = np.full(rows, min(dt_sample, span) * 0.01)
+    K_f[0] = f(t.reshape(t_shape), y.reshape(shape))
     for i_sample, t_target in enumerate(sample_times):
-        while t < t_target:
-            h = min(h, t_target - t)
-            if h < h_floor:
+        while True:
+            rest = t_target - t
+            active = rest > 0.0
+            if not active.any():
+                break
+            np.minimum(h, rest, out=h, where=active)
+            stalled = active & (h < h_floor)
+            if stalled.any():
+                r = int(np.argmax(stalled))
                 raise StiffnessError(
-                    f"step size underflow ({h:.3e}) at t={t:.6g}; "
-                    "the problem looks stiff"
+                    f"{_row_name(r, lead)}: step size underflow ({h[r]:.3e}) "
+                    f"at t={t[r]:.6g}; the problem looks stiff"
                 )
-            hit_boundary = h >= (t_target - t)
+            step = np.where(active, h, 0.0)  # rows at the target stay put
+            h_col = step[:, None]
+            t_stage = (t + _DP_C[:, None] * step).reshape((7,) + t_shape)
             for s in range(1, 7):
-                y_new = y + h * (A[s, :s] * K[:s]).sum(axis=0)
-                K[s] = f(t + _DP_C[s] * h, y_new)
+                y_new = y + h_col * (A[s, :s] * K[:s]).sum(axis=0)
+                K_f[s] = f(t_stage[s], y_new.reshape(shape))
             # y_new now holds the stage-6 state: the fifth-order step.
-            if not np.all(np.isfinite(y_new)):
-                # A wild trial step, not necessarily a lost trajectory.
-                h = h * _MIN_FACTOR
-                continue
-            err = h * (E * K).sum(axis=0)
-            scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-            norm = _error_norm(err, scale)
-            if norm <= 1.0:
-                t = t_target if hit_boundary else t + h
-                y = y_new
-                if np.max(np.abs(y)) > ESCAPE_STATE_LIMIT:
-                    raise DivergenceError(
-                        f"trajectory diverged near t={t:.6g}", time=t
-                    )
-                K[0] = K[6]  # FSAL
-                factor = _MAX_FACTOR if norm == 0.0 else min(
-                    _MAX_FACTOR, _SAFETY * norm ** -0.2
+            # A non-finite row is a wild trial step, not necessarily a lost
+            # trajectory: it is retried with a smaller step.
+            finite = np.isfinite(y_new).all(axis=-1)
+            with np.errstate(invalid="ignore"):  # non-finite rows
+                err = h_col * (E * K).sum(axis=0)
+                scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+                norm = np.sqrt(((err / scale) ** 2).mean(axis=-1))
+            accept = active & finite & (norm <= 1.0)
+
+            t = np.where(accept, np.where(step >= rest, t_target, t + step), t)
+            np.copyto(y, y_new, where=accept[:, None])
+            np.copyto(K[0], K[6], where=accept[:, None])  # FSAL
+            escaped = accept & (np.abs(y).max(axis=-1) > ESCAPE_STATE_LIMIT)
+            if escaped.any():
+                r = int(np.argmax(escaped))
+                raise DivergenceError(
+                    f"{_row_name(r, lead)} diverged near t={t[r]:.6g}",
+                    time=float(t[r])
                 )
-                h = h * max(_MIN_FACTOR, factor)
-            else:
-                h = h * max(_MIN_FACTOR, _SAFETY * norm ** -0.2)
-        times[i_sample] = t_target
-        states[i_sample] = y
-    return times, states
+            factor = np.where(finite, _step_factors(norm), _MIN_FACTOR)
+            h *= np.where(active, factor, 1.0)
+        states[i_sample] = y.reshape(shape)
+    return sample_times, states
 
 
 # Reference attractor points used to seed independent initial conditions;
@@ -321,7 +362,8 @@ def _batch_flow(system, L, N, seed, params):
     dt = FLOW_DT[system]
     y0 = _flow_initial_conditions(system, N, seed)
     f = lambda t, y: flow_derivative(system, y, params)
-    _, burn = rk45_integrate(f, y0, t_end=FLOW_BURN_IN, dt_sample=FLOW_BURN_IN)
+    _, burn = rk45_integrate(f, y0, t_end=FLOW_BURN_IN, dt_sample=FLOW_BURN_IN,
+                             rel_tol=BURN_IN_REL_TOL, abs_tol=BURN_IN_ABS_TOL)
     _, states = rk45_integrate(f, burn[-1], t_end=L * dt, dt_sample=dt)
     # states: (L, N, 3) -> x-coordinate per realization
     return states[:, :, 0].T.copy()

@@ -368,6 +368,17 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["3", "[]", '{"L": "abc"}',
+                                  '{"alpha": null}', '{"epochs": true}'])
+def test_config_of_wrong_shape_is_parameter_error(tmp_path, capsys, text):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    assert run_cli("generate", "--config", cfg_path,
+                   "--out", tmp_path / "x") == 2
+    err = capsys.readouterr().err
+    assert "error[ParameterError]" in err and f"{cfg_path}: " in err
+
+
 def test_output_root_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("SURROTEST_OUT", str(tmp_path / "root"))
     monkeypatch.chdir(tmp_path)

@@ -133,6 +133,28 @@ def test_filter_is_linear():
     assert np.max(np.abs(lhs - rhs)) < 1e-9
 
 
+def iir_reference(b, a, x):
+    """Direct form II transposed, one numpy scalar at a time."""
+    order = b.size - 1
+    z = np.zeros(order)
+    y = np.empty_like(x)
+    for i, xi in enumerate(x):
+        yi = b[0] * xi + z[0]
+        for k in range(order - 1):
+            z[k] = b[k + 1] * xi + z[k + 1] - a[k + 1] * yi
+        z[order - 1] = b[order] * xi - a[order] * yi
+        y[i] = yi
+    return y
+
+
+@pytest.mark.parametrize("order", [1, 2, 4, 7])
+def test_filter_matches_numpy_scalar_recurrence(order):
+    spec = FilterSpec(cutoff_hz=40.0, sampling_rate_hz=173.61, order=order)
+    x = np.random.default_rng(order).normal(size=5000)
+    expected = iir_reference(*design_butterworth_lowpass(spec), x)
+    assert np.array_equal(butterworth_lowpass(x, spec).samples, expected)
+
+
 def test_filter_rejects_short_input():
     with pytest.raises(LengthError):
         butterworth_lowpass(np.ones(4), SPEC)

@@ -205,6 +205,26 @@ def test_rk45_divergence_raises():
         rk45_integrate(f, np.array([2.0]), t_end=2.0, dt_sample=2.0)
 
 
+def test_rk45_divergence_names_the_row():
+    # Row 1 grows past the escape bound; rows 0 and 2 stay put.
+    rates = np.array([[0.0], [30.0], [0.0]])
+    f = lambda t, y: rates * y
+    with pytest.raises(DivergenceError, match="row 1 diverged"):
+        rk45_integrate(f, np.full((3, 1), 2.0), t_end=2.0, dt_sample=2.0)
+
+
+def test_rk45_rows_step_independently():
+    # Each row of a batch gets the bytes it gets when integrated alone,
+    # whatever the step sizes the other rows need.
+    rates = np.array([-1.0, 3.0, -40.0])
+    together = rk45_integrate(lambda t, y: rates[:, None] * y,
+                              np.ones((3, 1)), t_end=2.0, dt_sample=0.25)[1]
+    for i, rate in enumerate(rates):
+        alone = rk45_integrate(lambda t, y: rate * y, np.ones(1),
+                               t_end=2.0, dt_sample=0.25)[1]
+        assert np.array_equal(together[:, i], alone)
+
+
 def test_rk45_finite_time_blowup_underflows():
     # dy/dt = y^2 from y0 = 2 blows up at t = 0.5; the controller chases
     # it until the step size hits the floor.
@@ -304,6 +324,25 @@ def test_make_realizations_flow_deterministic():
     for ra, rb in zip(a, b):
         assert np.array_equal(ra.samples, rb.samples)
     assert a[0].dt == 0.05
+
+
+@pytest.mark.parametrize("system", ["lorenz", "rossler", "chua"])
+@pytest.mark.parametrize("seed", [0, 21])
+def test_flow_realization_does_not_depend_on_batch_size(system, seed):
+    # Every realization has its own step control, so it depends on
+    # (seed, index) only.
+    x16 = batch(system, 32, 16, seed)
+    assert np.array_equal(batch(system, 32, 1, seed)[0], x16[0])
+    assert np.array_equal(batch(system, 32, 8, seed)[5], x16[5])
+
+
+def test_lorenz_burn_in_lands_on_attractor():
+    # The loose-tolerance burn-in still ends on the butterfly: bounded,
+    # oscillating, and a different trajectory per realization.
+    x = batch("lorenz", 64, 16, seed=0)
+    assert np.all(np.abs(x) < 25.0)
+    assert np.all(x.std(axis=1) > 1.0)
+    assert len({row.tobytes() for row in x}) == 16
 
 
 def test_make_realizations_rejects_bad_arguments():
