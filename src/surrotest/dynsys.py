@@ -121,25 +121,26 @@ def flow_derivative(system: str, state, params: FlowParams | None = None) -> np.
     state = np.asarray(state, dtype=float)
     if state.shape[-1] != 3:
         raise ParameterError(f"state must have 3 components, got shape {state.shape}")
-    if not np.all(np.isfinite(state)):
+    if not np.isfinite(state).all():
         raise ParameterError("state must be finite")
     x, y, z = state[..., 0], state[..., 1], state[..., 2]
+    out = np.empty_like(state)
     if system == "lorenz":
-        dx = params.lorenz_sigma * (y - x)
-        dy = x * (params.lorenz_rho - z) - y
-        dz = x * y - params.lorenz_beta * z
+        out[..., 0] = params.lorenz_sigma * (y - x)
+        out[..., 1] = x * (params.lorenz_rho - z) - y
+        out[..., 2] = x * y - params.lorenz_beta * z
     elif system == "rossler":
-        dx = -y - z
-        dy = x + params.rossler_a * y
-        dz = params.rossler_b + z * (x - params.rossler_c)
+        out[..., 0] = -y - z
+        out[..., 1] = x + params.rossler_a * y
+        out[..., 2] = params.rossler_b + z * (x - params.rossler_c)
     elif system == "chua":
         fx = chua_nonlinearity(x, params.chua_m0, params.chua_m1)
-        dx = params.chua_alpha * (y - x - fx)
-        dy = x - y + z
-        dz = -params.chua_beta * y
+        out[..., 0] = params.chua_alpha * (y - x - fx)
+        out[..., 1] = x - y + z
+        out[..., 2] = -params.chua_beta * y
     else:
         raise ParameterError(f"unknown flow {system!r}; expected lorenz|rossler|chua")
-    return np.stack([dx, dy, dz], axis=-1)
+    return out
 
 
 # Dormand-Prince 5(4) tableau.  Row s of the lower-triangular A gives stage

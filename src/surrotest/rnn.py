@@ -9,7 +9,7 @@ items but time stays sequential (it has to).
 from __future__ import annotations
 
 import csv
-import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,9 +19,16 @@ from . import stats
 from .errors import (LengthError, NumericError, ParameterError, ParseError,
                      TrainingError)
 from .series import (atomic_open, check_width, meta_path, parse_cells,
-                     read_meta, write_json)
+                     read_json, read_meta, write_json)
 
 PARAM_NAMES = ("w_in", "w_rec", "b_h", "w_out", "b_out")
+
+# Adam's constants (Kingma & Ba, ICLR 2015) and the width of the trailing
+# average behind the report's *_s5 curves.
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+SMOOTH_WINDOW = 5
 
 _P_FLOOR = 1e-12
 
@@ -30,36 +37,65 @@ _P_FLOOR = 1e-12
 # Model
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RnnModel:
-    w_in: np.ndarray    # (H,)   input weights, one scalar input per step
-    w_rec: np.ndarray   # (H, H) recurrent weights
-    b_h: np.ndarray     # (H,)   hidden bias
-    w_out: np.ndarray   # (H,)   output weights
-    b_out: np.ndarray   # (1,)   output bias
+def _split(flat: np.ndarray) -> tuple:
+    """Views of w_in, w_rec, b_h, w_out and b_out in a vector laid out in
+    PARAM_NAMES order.  The model, its gradient and Adam's moments all use
+    this layout."""
+    # The vector holds h*h + 3h + 1 values, so (2h + 3)**2 = 4 * size + 5.
+    h = (math.isqrt(4 * flat.size + 5) - 3) // 2
+    a, b = h + h * h, 2 * h + h * h
+    return (flat[:h], flat[h:a].reshape(h, h), flat[a:b], flat[b:b + h],
+            flat[b + h:])
 
-    def __post_init__(self):
-        for name in PARAM_NAMES:
-            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
-        h = self.w_in.size
+
+def _nonfinite_name(flat: np.ndarray) -> str | None:
+    """The first parameter name under which ``flat`` holds a non-finite
+    value, or None when all of it is finite."""
+    if np.isfinite(flat).all():
+        return None
+    return next(name for name, part in zip(PARAM_NAMES, _split(flat))
+                if not np.isfinite(part).all())
+
+
+class RnnModel:
+    """All parameters in one float64 vector ``vec``, laid out in
+    PARAM_NAMES order; each named parameter is a view of it.
+
+    The attributes cannot be rebound, so a view never detaches from
+    ``vec``: write through one instead, as in ``model.w_out[...] = x``.
+    """
+
+    w_in = property(lambda self: self._views[0])    # (H,) input weights
+    w_rec = property(lambda self: self._views[1])   # (H, H) recurrent weights
+    b_h = property(lambda self: self._views[2])     # (H,) hidden bias
+    w_out = property(lambda self: self._views[3])   # (H,) output weights
+    b_out = property(lambda self: self._views[4])   # (1,) output bias
+    vec = property(lambda self: self._vec)
+
+    def __init__(self, w_in, w_rec, b_h, w_out, b_out):
+        parts = [np.asarray(p, dtype=float)
+                 for p in (w_in, w_rec, b_h, w_out, b_out)]
+        h = parts[0].size
         if h < 1:
             raise ParameterError("hidden size must be at least 1")
-        if self.w_rec.shape != (h, h) or self.b_h.shape != (h,) \
-                or self.w_out.shape != (h,) or self.b_out.shape != (1,):
+        if [p.shape for p in parts] != [(h,), (h, h), (h,), (h,), (1,)]:
             raise ParameterError("parameter shapes are inconsistent")
-        for name in PARAM_NAMES:
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ParameterError(f"{name} contains non-finite values")
+        self._vec = np.concatenate([p.ravel() for p in parts])
+        self._views = _split(self._vec)
+        bad = _nonfinite_name(self._vec)
+        if bad is not None:
+            raise ParameterError(f"{bad} contains non-finite values")
 
     @property
     def hidden_size(self) -> int:
         return self.w_in.size
 
     def params(self) -> dict:
-        return {name: getattr(self, name) for name in PARAM_NAMES}
+        """Name -> view of ``vec``."""
+        return dict(zip(PARAM_NAMES, self._views))
 
     def copy(self) -> "RnnModel":
-        return RnnModel(**{k: v.copy() for k, v in self.params().items()})
+        return RnnModel(*self._views)
 
 
 def init_model(hidden_size: int, seed: int = 0) -> RnnModel:
@@ -175,33 +211,38 @@ def _loss_and_gradients(model: RnnModel, X: np.ndarray, y: np.ndarray):
     for t in range(L - 1, 0, -1):
         delta = (delta @ model.w_rec) * (trace[t] > 0.0)
         deltas[t - 1] = delta
-    grads = {
-        "w_out": trace[L].T @ dz,
-        "b_out": np.array([dz.sum()]),
-        "b_h": deltas.sum(axis=(0, 1)),
-        "w_in": np.tensordot(deltas, X, axes=([0, 1], [1, 0])),
-        "w_rec": np.tensordot(deltas, trace[:L], axes=([0, 1], [0, 1])),
-    }
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for {name}")
-    return loss, grads
+    # The gradient in the layout of model.vec.
+    grad = np.concatenate((
+        np.tensordot(deltas, X, axes=([0, 1], [1, 0])),                 # w_in
+        np.tensordot(deltas, trace[:L], axes=([0, 1], [0, 1])).ravel(),  # w_rec
+        deltas.sum(axis=(0, 1)),                                        # b_h
+        trace[L].T @ dz,                                                # w_out
+        [dz.sum()],                                                     # b_out
+    ))
+    bad = _nonfinite_name(grad)
+    if bad is not None:
+        raise NumericError(f"non-finite gradient for {bad}")
+    return loss, grad
 
 
 def bptt_gradients(model: RnnModel, batch) -> dict:
-    """Mean-over-batch gradients of the loss for every parameter."""
+    """Mean-over-batch gradients of the loss, by parameter name."""
     X, y = _coerce_batch(batch)
-    _, grads = _loss_and_gradients(model, X, y)
-    return grads
+    _, grad = _loss_and_gradients(model, X, y)
+    return dict(zip(PARAM_NAMES, _split(grad)))
 
 
-def clip_gradients(grads: dict, max_norm: float) -> dict:
-    """Scale all gradients down to a shared global norm when they exceed it."""
-    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+def clip_gradients(grad: np.ndarray, max_norm: float) -> np.ndarray:
+    """The gradient vector scaled down to norm ``max_norm`` when it exceeds
+    it; ``grad`` itself otherwise."""
+    w_in, w_rec, b_h, w_out, b_out = _split(grad)
+    # Per-parameter sums added in this fixed order.  One sum over the whole
+    # vector (pairwise) would move the last bit of clipped models.
+    total = np.sqrt(sum(float(np.sum(g * g))
+                        for g in (w_out, b_out, b_h, w_in, w_rec)))
     if total <= max_norm or total == 0.0:
-        return grads
-    factor = max_norm / total
-    return {name: g * factor for name, g in grads.items()}
+        return grad
+    return grad * (max_norm / total)
 
 
 # ---------------------------------------------------------------------------
@@ -210,38 +251,28 @@ def clip_gradients(grads: dict, max_norm: float) -> dict:
 
 @dataclass
 class AdamState:
-    m: dict
-    v: dict
+    """First and second moments, in the layout of ``RnnModel.vec``."""
+
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
-def adam_init(model: RnnModel, lr: float = 1e-4, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
-    zeros = {name: np.zeros_like(p) for name, p in model.params().items()}
-    return AdamState(m=zeros, v={k: v.copy() for k, v in zeros.items()},
-                     t=0, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+def adam_init(model: RnnModel, lr: float = 1e-4) -> AdamState:
+    return AdamState(m=np.zeros_like(model.vec), v=np.zeros_like(model.vec),
+                     lr=lr)
 
 
-def adam_step(model: RnnModel, grads: dict, state: AdamState):
-    """One bias-corrected Adam update; returns (new model, new state)."""
-    t = state.t + 1
-    new_params, new_m, new_v = {}, {}, {}
-    for name, p in model.params().items():
-        g = grads[name]
-        m = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        v = state.beta2 * state.v[name] + (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1**t)
-        v_hat = v / (1.0 - state.beta2**t)
-        new_params[name] = p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-        new_m[name] = m
-        new_v[name] = v
-    return RnnModel(**new_params), AdamState(m=new_m, v=new_v, t=t,
-                                             lr=state.lr, beta1=state.beta1,
-                                             beta2=state.beta2, eps=state.eps)
+def adam_step(model: RnnModel, grad: np.ndarray, state: AdamState) -> None:
+    """One bias-corrected Adam update of ``model.vec`` and ``state``, in
+    place."""
+    state.t += 1
+    state.m = BETA1 * state.m + (1.0 - BETA1) * grad
+    state.v = BETA2 * state.v + (1.0 - BETA2) * grad * grad
+    m_hat = state.m / (1.0 - BETA1**state.t)
+    v_hat = state.v / (1.0 - BETA2**state.t)
+    model.vec[...] -= state.lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -273,12 +304,8 @@ class TrainConfig:
     hidden_size: int = 10
     lr: float = 1e-4
     batch_size: int = 16
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     clip_norm: float | None = 5.0   # None disables gradient clipping
     shuffle_seed: int = 0
-    smooth_window: int = 5
 
     def __post_init__(self):
         if self.hidden_size < 1:
@@ -326,8 +353,7 @@ def train(init_seed: int, dataset, epochs: int,
         raise ParameterError("dataset needs nonempty train/validation/test splits")
 
     model = init_model(config.hidden_size, seed=init_seed)
-    state = adam_init(model, lr=config.lr, beta1=config.beta1,
-                      beta2=config.beta2, eps=config.eps)
+    state = adam_init(model, config.lr)
     shuffle_rng = np.random.default_rng(config.shuffle_seed)
 
     snapshots = [model.copy()]
@@ -345,10 +371,10 @@ def train(init_seed: int, dataset, epochs: int,
         loss_sum = 0.0
         for lo in range(0, n_train, config.batch_size):
             idx = order[lo:lo + config.batch_size]
-            loss, grads = _loss_and_gradients(model, X_train[idx], y_train[idx])
+            loss, grad = _loss_and_gradients(model, X_train[idx], y_train[idx])
             if config.clip_norm is not None:
-                grads = clip_gradients(grads, config.clip_norm)
-            model, state = adam_step(model, grads, state)
+                grad = clip_gradients(grad, config.clip_norm)
+            adam_step(model, grad, state)
             loss_sum += loss * idx.size
         train_loss = loss_sum / n_train
         if not np.isfinite(train_loss):
@@ -361,7 +387,7 @@ def train(init_seed: int, dataset, epochs: int,
         snapshots.append(model.copy())
 
     if epochs > 0:
-        w = config.smooth_window
+        w = SMOOTH_WINDOW
         report.train_loss_s5 = stats.smooth(report.train_loss, w).tolist()
         report.val_loss_s5 = stats.smooth(report.val_loss, w).tolist()
         report.test_acc_s5 = stats.smooth(report.test_acc, w).tolist()
@@ -393,13 +419,17 @@ def save_model(path, model: RnnModel) -> None:
 
 
 def load_model(path) -> RnnModel:
-    with open(path) as fh:
-        blob = json.load(fh)
-    params = {}
-    for name in PARAM_NAMES:
-        arr = np.array(blob["params"][name], dtype=float)
-        params[name] = arr.reshape(blob["shapes"][name])
-    return RnnModel(**params)
+    """The model saved by ``save_model``; a malformed file raises
+    ``ParseError`` naming it."""
+    blob = read_json(path)
+    try:
+        return RnnModel(**{
+            name: np.array(blob["params"][name], dtype=float)
+            .reshape(blob["shapes"][name]) for name in PARAM_NAMES})
+    except KeyError as exc:
+        raise ParseError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: not a valid model: {exc}") from None
 
 
 REPORT_COLUMNS = ("epoch", "train_loss", "val_loss", "test_acc",
