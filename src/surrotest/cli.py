@@ -46,15 +46,13 @@ class RunConfig:
 
     system: str = "logistic"
     input: str | None = None          # record file for system == "file"
-    input_format: str = "column"
     L: int = 32
     N: int = 1000
-    mode: str | None = None
     alpha: float = 0.2                # AR(1) coefficient, system == "ar1"
     surrogate_algorithm: str = "iaaft"
     surrogate_max_iter: int = 100
     surrogate_tolerance: float = 1e-8
-    filter_order: int | None = None
+    filter_order: int = 4
     filter_cutoff_hz: float | None = None
     filter_fs_hz: float | None = None
     hidden_size: int = 10
@@ -62,21 +60,8 @@ class RunConfig:
     learning_rate: float = 1e-4
     batch_size: int = 16
     clip_norm: float | None = 5.0
-    train_frac: float = 0.75
-    val_frac_of_train: float = 0.30
     master_seed: int = 0
-    seed_generation: int | None = None
-    seed_surrogate: int | None = None
-    seed_split: int | None = None
-    seed_init: int | None = None
-    seed_shuffle: int | None = None
     out: str | None = None
-
-    def resolve_seeds(self) -> None:
-        for stage in ("generation", "surrogate", "split", "init", "shuffle"):
-            key = f"seed_{stage}"
-            if getattr(self, key) is None:
-                setattr(self, key, stage_seed(self.master_seed, stage))
 
     def validate(self) -> None:
         known = dynsys.SYSTEMS + ("file",)
@@ -99,18 +84,17 @@ class RunConfig:
             dynsys.NoiseParams(self.alpha)
 
     def train_config(self) -> rnn.TrainConfig:
-        return rnn.TrainConfig(hidden_size=self.hidden_size,
-                               lr=self.learning_rate,
-                               batch_size=self.batch_size,
-                               clip_norm=self.clip_norm,
-                               shuffle_seed=self.seed_shuffle)
+        return rnn.TrainConfig(
+            hidden_size=self.hidden_size, lr=self.learning_rate,
+            batch_size=self.batch_size, clip_norm=self.clip_norm,
+            shuffle_seed=stage_seed(self.master_seed, "shuffle"))
 
     def surrogate_config(self) -> SurrogateConfig:
         return SurrogateConfig(
             algorithm=self.surrogate_algorithm,
             max_iter=self.surrogate_max_iter,
             tolerance=self.surrogate_tolerance,
-            seed=self.seed_surrogate if self.seed_surrogate is not None else 0,
+            seed=stage_seed(self.master_seed, "surrogate"),
         )
 
     def filter_spec(self) -> FilterSpec | None:
@@ -122,7 +106,7 @@ class RunConfig:
                 "filter needs both filter_cutoff_hz and filter_fs_hz")
         return FilterSpec(cutoff_hz=self.filter_cutoff_hz,
                           sampling_rate_hz=self.filter_fs_hz,
-                          order=self.filter_order or 4)
+                          order=self.filter_order)
 
     def outdir(self) -> Path:
         if self.out:
@@ -170,7 +154,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             values[name] = flag
     cfg = RunConfig(**values)
     cfg.validate()
-    cfg.resolve_seeds()
     return cfg
 
 
@@ -182,15 +165,15 @@ def cmd_generate(cfg: RunConfig) -> tuple:
     """Realizations, and the SHA-256 of the realizations.csv written."""
     source, params = cfg.system, None
     if cfg.system == "file":
-        source = load_series(cfg.input, fmt=cfg.input_format)
+        source = load_series(cfg.input)
         spec = cfg.filter_spec()
         if spec is not None:
             source = butterworth_lowpass(source, spec)
     elif cfg.system == "ar1":
         params = dynsys.NoiseParams(cfg.alpha)
-    realizations = dynsys.make_realizations(source, cfg.L, cfg.N, mode=cfg.mode,
-                                            seed=cfg.seed_generation,
-                                            params=params)
+    realizations = dynsys.make_realizations(
+        source, cfg.L, cfg.N, seed=stage_seed(cfg.master_seed, "generation"),
+        params=params)
     digest = dynsys.save_realizations(cfg.outdir() / "realizations.csv",
                                       realizations,
                                       extra_meta={"master_seed": cfg.master_seed})
@@ -257,9 +240,7 @@ def cmd_dataset(cfg: RunConfig, input_path=None, realizations=None,
     elif surrogates is None:
         surrogates = _stored_surrogates(cfg, digest)
     ds = build_dataset(originals, cfg.surrogate_config(), surrogates=surrogates)
-    ds = split_dataset(ds, train_frac=cfg.train_frac,
-                       val_frac_of_train=cfg.val_frac_of_train,
-                       seed=cfg.seed_split)
+    ds = split_dataset(ds, stage_seed(cfg.master_seed, "split"))
     save_dataset(cfg.outdir() / "dataset.csv", ds, extra_meta={
         "surrogate": asdict(cfg.surrogate_config()),
         "filter": asdict(spec) if spec else None,
@@ -272,8 +253,8 @@ def cmd_train(cfg: RunConfig, input_path=None, dataset=None) -> rnn.TrainReport:
     outdir = cfg.outdir()
     if dataset is None:
         dataset = load_dataset(_stage_input(cfg, input_path, "dataset.csv"))
-    snapshots, report = rnn.train(cfg.seed_init, dataset, cfg.epochs,
-                                  cfg.train_config())
+    snapshots, report = rnn.train(stage_seed(cfg.master_seed, "init"),
+                                  dataset, cfg.epochs, cfg.train_config())
     rnn.save_model(outdir / "model.json", snapshots[-1])
     if report.representative_epoch is not None:
         rnn.save_model(outdir / "model_representative.json",
@@ -284,9 +265,8 @@ def cmd_train(cfg: RunConfig, input_path=None, dataset=None) -> rnn.TrainReport:
 
 def verdict_from_report(report: rnn.TrainReport, alpha: float = 0.05) -> dict:
     if report.representative_epoch is None:
-        epoch, acc = stats.representative_accuracy(report)
-    else:
-        epoch, acc = report.representative_epoch, report.representative_accuracy
+        raise ParameterError("report records no representative epoch")
+    epoch, acc = report.representative_epoch, report.representative_accuracy
     n = report.n_test_items
     if n < 1:
         raise ParameterError("report does not record the test item count")
@@ -344,11 +324,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--system", choices=dynsys.SYSTEMS + ("file",))
     parser.add_argument("--input", help="record file for --system file")
-    parser.add_argument("--input-format", dest="input_format",
-                        choices=("column", "row"))
     parser.add_argument("--L", type=int, help="realization length")
     parser.add_argument("--N", type=int, help="realization count")
-    parser.add_argument("--mode", choices=("independent", "windowed"))
     parser.add_argument("--alpha", type=float, help="AR(1) coefficient")
     parser.add_argument("--surrogate-alg", dest="surrogate_algorithm",
                         choices=SurrogateConfig.ALGORITHMS)

@@ -15,13 +15,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import LengthError, ParameterError, SplitError
+from .errors import LengthError, ParameterError, ParseError, SplitError
 from .seeding import derived_seed
 from .series import (TimeSeries, as_samples, atomic_open, check_width,
                      meta_path, parse_cells, read_meta, write_json)
 from .spectral import SurrogateConfig, make_surrogate
 
 SPLITS = ("train", "validation", "test")
+
+# Pair-level split: a quarter of the pairs for test, then 30% of the rest
+# for validation.  With 1000 pairs: 250 test, 225 validation, 525 train.
+TRAIN_FRAC = 0.75
+VAL_FRAC_OF_TRAIN = 0.30
 
 LABEL_ORIGINAL = 1
 LABEL_SURROGATE = 0
@@ -31,12 +36,10 @@ LABEL_SURROGATE = 0
 # Record ingestion
 # ---------------------------------------------------------------------------
 
-def load_series(path, fmt: str = "column") -> TimeSeries:
-    """Read a record from disk.
-
-    ``fmt="column"`` expects one numeral per line; ``fmt="row"`` expects a
-    single comma-separated line.  Blank lines are skipped; anything else
-    that does not parse raises with its 1-based line number.
+def load_series(path) -> TimeSeries:
+    """Read a record from disk: one numeral per line, comma-separated
+    numerals, or both, in file order.  Blank lines are skipped; anything
+    else that does not parse raises with its 1-based line number.
     """
     path = Path(path)
     values = []
@@ -45,22 +48,19 @@ def load_series(path, fmt: str = "column") -> TimeSeries:
             text = line.strip()
             if not text:
                 continue
-            fields = text.split(",") if fmt == "row" else [text]
-            values += parse_cells(fields, path, lineno)
+            values += parse_cells(text.split(","), path, lineno)
     if not values:
         raise LengthError(f"{path} contains no samples")
     return TimeSeries(np.array(values), meta={"source": str(path)})
 
 
-def save_series(path, series, fmt: str = "column") -> None:
-    """Write a record with 17 significant digits (lossless round-trip)."""
+def save_series(path, series) -> None:
+    """Write a record, one sample per line, with 17 significant digits
+    (lossless round-trip)."""
     samples = as_samples(series)
     with atomic_open(path) as fh:
-        if fmt == "row":
-            fh.write(",".join(f"{v:.17g}" for v in samples) + "\n")
-        else:
-            for v in samples:
-                fh.write(f"{v:.17g}\n")
+        for v in samples:
+            fh.write(f"{v:.17g}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -234,20 +234,12 @@ def build_dataset(originals, config: SurrogateConfig,
                           seeds={"surrogate": config.seed})
 
 
-def split_dataset(dataset: LabeledDataset, train_frac: float = 0.75,
-                  val_frac_of_train: float = 0.30, seed: int = 0) -> LabeledDataset:
-    """Assign whole pairs to train/validation/test.
+def split_dataset(dataset: LabeledDataset, seed: int) -> LabeledDataset:
+    """Assign whole pairs to train/validation/test by ``TRAIN_FRAC`` and
+    ``VAL_FRAC_OF_TRAIN``.
 
     Test and validation sizes are floored; the remainder stays in train.
-    With 1000 pairs and the default fractions: 250 test, 225 validation,
-    525 train.
     """
-    if not 0.0 < train_frac < 1.0:
-        raise ParameterError(f"train fraction must be in (0, 1), got {train_frac}")
-    if not 0.0 <= val_frac_of_train < 1.0:
-        raise ParameterError(
-            f"validation fraction must be in [0, 1), got {val_frac_of_train}"
-        )
     # A set, not np.unique: numpy's sort code adds about 1 MB to peak RSS.
     pair_ids = sorted(set(dataset.pair_id.tolist()))
     n_pairs = len(pair_ids)
@@ -256,9 +248,9 @@ def split_dataset(dataset: LabeledDataset, train_frac: float = 0.75,
 
     # The 1e-9 nudge keeps exact fractions exact (0.30 * 750 must be 225
     # pairs, not 224) despite binary rounding of the fractions themselves.
-    n_test = int(np.floor((1.0 - train_frac) * n_pairs + 1e-9))
+    n_test = int(np.floor((1.0 - TRAIN_FRAC) * n_pairs + 1e-9))
     pool = n_pairs - n_test
-    n_val = int(np.floor(val_frac_of_train * pool + 1e-9))
+    n_val = int(np.floor(VAL_FRAC_OF_TRAIN * pool + 1e-9))
 
     rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
     order = rng.permutation(n_pairs)
@@ -297,8 +289,9 @@ def save_dataset(path, dataset: LabeledDataset, extra_meta: dict | None = None) 
 def load_dataset(path) -> LabeledDataset:
     """Read a dataset CSV written by ``save_dataset``.
 
-    A row that does not have the header's width, or a cell that does not
-    parse, raises ``ParseError`` with its line number.
+    A row that does not have the header's width, a cell that does not
+    parse, a label other than 0 or 1, or a split tag other than those in
+    ``SPLITS`` raises ``ParseError`` with its line number.
     """
     path = Path(path)
     pair_id, y, split, X = [], [], [], []
@@ -313,6 +306,12 @@ def load_dataset(path) -> LabeledDataset:
             line = reader.line_num
             check_width(row, len(header), path, line)
             pid, label = parse_cells(row[:2], path, line, kind=int)
+            if label not in (LABEL_ORIGINAL, LABEL_SURROGATE):
+                raise ParseError(f"{path}: line {line}: label {label} is "
+                                 "neither 0 nor 1", line=line)
+            if row[2] not in SPLITS:
+                raise ParseError(f"{path}: line {line}: unknown split "
+                                 f"{row[2]!r}", line=line)
             pair_id.append(pid)
             y.append(label)
             split.append(row[2])

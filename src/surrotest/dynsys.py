@@ -397,15 +397,15 @@ _BATCH_GENERATORS = {
 }
 
 
-def make_realizations(source, L: int, N: int, mode: str | None = None,
-                      seed: int = 0, params=None) -> list:
+def make_realizations(source, L: int, N: int, seed: int = 0,
+                      params=None) -> list:
     """N realizations of length L from a named system or a long record.
 
-    ``mode="independent"`` (the default for named systems) draws fresh
-    initial conditions per realization and discards a burn-in;
-    ``mode="windowed"`` (the default for TimeSeries sources) copies
-    windows at uniformly random start indices.  Deterministic given
-    (source, params, seed).
+    The source decides the mode.  A named system generates independent
+    realizations: fresh initial conditions each, after a burn-in.  A
+    TimeSeries record is windowed: each realization is a copy of L samples
+    at a uniformly random start index.  Deterministic given (source,
+    params, seed).
     """
     if L < 8:
         raise ParameterError(f"realization length must be at least 8, got {L}")
@@ -413,22 +413,17 @@ def make_realizations(source, L: int, N: int, mode: str | None = None,
         raise ParameterError(f"need at least one realization, got {N}")
 
     if isinstance(source, TimeSeries):
-        mode = mode or "windowed"
-        if mode != "windowed":
-            raise ParameterError("a TimeSeries source requires windowed mode")
         return _windowed_realizations(source, L, N, seed)
 
     system = str(source)
     if system not in SYSTEMS:
         raise ParameterError(f"unknown system {system!r}; expected one of {SYSTEMS}")
-    mode = mode or "independent"
-    if mode != "independent":
-        raise ParameterError("named systems generate in independent mode")
     if params is None:
         params = _default_params(system)
     rows = _BATCH_GENERATORS[system](L, N, seed, params)
     dt = FLOW_DT.get(system)
-    meta = {"system": system, "seed": seed, "mode": mode, "params": asdict(params)}
+    meta = {"system": system, "seed": seed, "mode": "independent",
+            "params": asdict(params)}
     return [TimeSeries(rows[i], dt=dt, meta={**meta, "index": i})
             for i in range(N)]
 

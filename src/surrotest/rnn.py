@@ -9,6 +9,7 @@ items but time stays sequential (it has to).
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -435,6 +436,15 @@ def load_model(path) -> RnnModel:
 REPORT_COLUMNS = ("epoch", "train_loss", "val_loss", "test_acc",
                   "train_loss_s5", "val_loss_s5", "test_acc_s5")
 
+# The JSON types each field of a report's sidecar may take.
+_REPORT_META_TYPES = {
+    "n_test_items": int,
+    "seeds": dict,
+    "hyperparams": dict,
+    "representative_epoch": (int, type(None)),
+    "representative_accuracy": (int, float, type(None)),
+}
+
 
 def save_report(path, report: TrainReport, extra_meta: dict | None = None) -> None:
     """Learning curves as CSV (1-based epoch column) + sidecar metadata."""
@@ -459,6 +469,8 @@ def save_report(path, report: TrainReport, extra_meta: dict | None = None) -> No
 
 
 def load_report(path) -> TrainReport:
+    """The report saved by ``save_report``; a malformed CSV row or a
+    sidecar field of the wrong type raises ``ParseError`` naming the file."""
     path = Path(path)
     report = TrainReport()
     with open(path, newline="") as fh:
@@ -476,6 +488,14 @@ def load_report(path) -> TrainReport:
                                                      reader.line_num)):
                 curve.append(v)
     meta = read_meta(path)
+    if not isinstance(meta, dict):
+        raise ParseError(f"{meta_path(path)}: not a JSON object")
+    for key, allowed in _REPORT_META_TYPES.items():
+        value = meta.get(key)
+        if key in meta and (isinstance(value, bool)
+                            or not isinstance(value, allowed)):
+            raise ParseError(f"{meta_path(path)}: {key} has the wrong "
+                             f"type: {json.dumps(value)}")
     report.n_test_items = meta.get("n_test_items", 0)
     report.seeds = meta.get("seeds", {})
     report.hyperparams = meta.get("hyperparams", {})

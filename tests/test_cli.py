@@ -1,13 +1,14 @@
 import errno
 import json
 import os
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from surrotest import series, spectral
-from surrotest.cli import main
+from surrotest.cli import build_parser, main, resolve_config
 from surrotest.dataset import save_series
 from surrotest.dynsys import make_realizations
 
@@ -137,6 +138,28 @@ def test_train_and_report_stages(tmp_path, capsys):
         assert key in verdict
 
 
+@pytest.mark.parametrize("key, value, error", [
+    ("n_test_items", "4", "ParseError"),
+    ("representative_accuracy", "0.5", "ParseError"),
+    ("representative_epoch", 2.0, "ParseError"),
+    ("seeds", [], "ParseError"),
+    ("representative_epoch", None, "ParameterError"),
+])
+def test_report_rejects_bad_sidecar(tmp_path, capsys, key, value, error):
+    out = tmp_path / "run"
+    base = ["--system", "logistic", "--seed", "4", "--out", out] + TINY
+    assert run_cli("pipeline", *base) == 0
+    sidecar = out / "train_report.meta.json"
+    meta = json.loads(sidecar.read_text())
+    meta[key] = value
+    sidecar.write_text(json.dumps(meta))
+    assert run_cli("report", *base) == 2
+    err = capsys.readouterr().err
+    assert f"error[{error}]" in err
+    assert (str(sidecar) if error == "ParseError"
+            else "representative epoch") in err
+
+
 @pytest.mark.parametrize("system", ["henon", "ar1"])
 def test_staged_run_matches_pipeline(tmp_path, system):
     flags = ["--system", system, "--seed", "13"] + TINY
@@ -223,7 +246,7 @@ def test_pipeline_on_user_record(tmp_path):
     save_series(rec_path, record)
     out = tmp_path / "run"
     assert run_cli("pipeline", "--system", "file", "--input", rec_path,
-                   "--mode", "windowed", "--filter-cutoff-hz", "2.0",
+                   "--filter-cutoff-hz", "2.0",
                    "--filter-fs-hz", "20.0", "--seed", "8",
                    "--out", out, *TINY) == 0
     verdict = json.loads((out / "verdict.json").read_text())
@@ -361,11 +384,15 @@ def test_flags_override_config_file(tmp_path):
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"sytem": "logistic"}))
-    assert run_cli("generate", "--config", cfg_path,
-                   "--out", tmp_path / "x") == 2
-    assert "unknown config keys" in capsys.readouterr().err
+    # A typo, and keys that older versions wrote into config.frozen.json.
+    for key, value in [("sytem", "logistic"), ("mode", "windowed"),
+                       ("input_format", "row"), ("seed_init", 3),
+                       ("train_frac", 0.75)]:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({key: value}))
+        assert run_cli("generate", "--config", cfg_path,
+                       "--out", tmp_path / "x") == 2, key
+        assert "unknown config keys" in capsys.readouterr().err, key
 
 
 @pytest.mark.parametrize("text", ["3", "[]", '{"L": "abc"}',
@@ -377,6 +404,35 @@ def test_config_of_wrong_shape_is_parameter_error(tmp_path, capsys, text):
                    "--out", tmp_path / "x") == 2
     err = capsys.readouterr().err
     assert "error[ParameterError]" in err and f"{cfg_path}: " in err
+
+
+def test_filter_order_zero_is_parameter_error(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run_cli("generate", "--system", "logistic", "--L", "16",
+                   "--N", "3", "--filter-order", "0",
+                   "--filter-cutoff-hz", "2.0", "--filter-fs-hz", "20.0",
+                   "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "error[ParameterError]" in err and "filter order" in err
+    assert not out.exists()
+
+
+def readme_commands() -> list:
+    """Each ``surrotest ...`` command of README's command-line block, with
+    its continuation lines joined."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    return [line for line in block.splitlines()
+            if line.startswith("surrotest ")]
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert len(commands) >= 7
+    for line in commands:
+        args = build_parser().parse_args(shlex.split(line, comments=True)[1:])
+        resolve_config(args)
 
 
 def test_output_root_env_var(tmp_path, monkeypatch):
