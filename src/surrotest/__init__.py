@@ -5,7 +5,6 @@ their constrained-randomization surrogates; significant accuracy above
 chance indicates structure the surrogates cannot carry.
 """
 
-from .series import TimeSeries
 from .spectral import (SurrogateConfig, SurrogateResult, aaft_surrogate,
                        ft_surrogate, iaaft_surrogate, shuffle_surrogate,
                        spectral_discrepancy)
@@ -17,7 +16,6 @@ from .stats import binomial_test, representative_accuracy, smooth
 __version__ = "0.1.0"
 
 __all__ = [
-    "TimeSeries",
     "SurrogateConfig",
     "SurrogateResult",
     "shuffle_surrogate",

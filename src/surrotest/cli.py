@@ -76,6 +76,9 @@ class RunConfig:
             raise ParameterError(f"N must be at least 1, got {self.N}")
         if self.epochs < 0:
             raise ParameterError(f"epochs must be nonnegative, got {self.epochs}")
+        if self.filter_order < 1:
+            raise ParameterError(
+                f"filter order must be positive, got {self.filter_order}")
         # Constructors validate their own ranges.
         self.train_config()
         self.surrogate_config()
@@ -162,7 +165,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def cmd_generate(cfg: RunConfig) -> tuple:
-    """Realizations, and the SHA-256 of the realizations.csv written."""
+    """(rows, meta, digest): the realizations, their provenance and the
+    SHA-256 of the realizations.csv written."""
     source, params = cfg.system, None
     if cfg.system == "file":
         source = load_series(cfg.input)
@@ -171,13 +175,13 @@ def cmd_generate(cfg: RunConfig) -> tuple:
             source = butterworth_lowpass(source, spec)
     elif cfg.system == "ar1":
         params = dynsys.NoiseParams(cfg.alpha)
-    realizations = dynsys.make_realizations(
+    rows, meta = dynsys.make_realizations(
         source, cfg.L, cfg.N, seed=stage_seed(cfg.master_seed, "generation"),
         params=params)
     digest = dynsys.save_realizations(cfg.outdir() / "realizations.csv",
-                                      realizations,
+                                      rows, meta,
                                       extra_meta={"master_seed": cfg.master_seed})
-    return realizations, digest
+    return rows, meta, digest
 
 
 def _stage_input(cfg: RunConfig, input_path, default_name: str) -> Path:
@@ -185,19 +189,20 @@ def _stage_input(cfg: RunConfig, input_path, default_name: str) -> Path:
 
 
 def _read_realizations(source: Path) -> tuple:
-    originals, _ = dynsys.load_realizations(source)
-    return originals, file_sha256(source)
+    return (*dynsys.load_realizations(source), file_sha256(source))
 
 
-def cmd_surrogate(cfg: RunConfig, input_path=None, realizations=None) -> list:
-    """One SurrogateResult per realization (from ``cmd_generate`` or disk)."""
+def cmd_surrogate(cfg: RunConfig, input_path=None, realizations=None):
+    """The (N, L) surrogate rows, one per realization (from
+    ``cmd_generate`` or disk)."""
     outdir = cfg.outdir()
     source = _stage_input(cfg, input_path, "realizations.csv")
-    originals, digest = realizations or _read_realizations(source)
+    originals, meta, digest = realizations or _read_realizations(source)
     settings = asdict(cfg.surrogate_config())
     results = pair_surrogates(originals, cfg.surrogate_config())
+    surrogates = np.array([r.surrogate for r in results])
     dynsys.save_realizations(
-        outdir / "surrogates.csv", [r.surrogate for r in results],
+        outdir / "surrogates.csv", surrogates, meta,
         extra_meta={"algorithm": cfg.surrogate_algorithm, "source": source.name,
                     "source_sha256": digest, "surrogate": settings})
     write_json(outdir / "surrogate_report.json", {
@@ -207,7 +212,7 @@ def cmd_surrogate(cfg: RunConfig, input_path=None, realizations=None) -> list:
                    "discrepancy": min(r.discrepancy_trace)}
                   for i, r in enumerate(results)],
     })
-    return results
+    return surrogates
 
 
 def _stored_surrogates(cfg: RunConfig, digest: str):
@@ -226,7 +231,7 @@ def cmd_dataset(cfg: RunConfig, input_path=None, realizations=None,
                 surrogates=None) -> LabeledDataset:
     """The labeled, split dataset.  Without the two earlier stages' results
     it reads the realizations, and surrogates.csv if it is fresh."""
-    originals, digest = realizations or _read_realizations(
+    originals, _, digest = realizations or _read_realizations(
         _stage_input(cfg, input_path, "realizations.csv"))
     # For records (system "file") the filter ran at ingestion, before
     # windowing.  For prebuilt realization CSVs it applies per realization

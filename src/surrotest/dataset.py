@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import LengthError, ParameterError, ParseError, SplitError
 from .seeding import derived_seed
-from .series import (TimeSeries, as_samples, atomic_open, check_width,
-                     meta_path, parse_cells, read_meta, write_json)
+from .series import (as_samples, atomic_open, check_width, meta_path,
+                     parse_cells, read_meta, write_json)
 from .spectral import SurrogateConfig, make_surrogate
 
 SPLITS = ("train", "validation", "test")
@@ -36,7 +36,7 @@ LABEL_SURROGATE = 0
 # Record ingestion
 # ---------------------------------------------------------------------------
 
-def load_series(path) -> TimeSeries:
+def load_series(path) -> np.ndarray:
     """Read a record from disk: one numeral per line, comma-separated
     numerals, or both, in file order.  Blank lines are skipped; anything
     else that does not parse raises with its 1-based line number.
@@ -51,7 +51,7 @@ def load_series(path) -> TimeSeries:
             values += parse_cells(text.split(","), path, lineno)
     if not values:
         raise LengthError(f"{path} contains no samples")
-    return TimeSeries(np.array(values), meta={"source": str(path)})
+    return np.array(values)
 
 
 def save_series(path, series) -> None:
@@ -127,44 +127,32 @@ def _iir_forward(b: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def butterworth_lowpass(series, spec: FilterSpec) -> TimeSeries:
+def butterworth_lowpass(series, spec: FilterSpec) -> np.ndarray:
     """Causal low-pass filtering of a series (single forward pass)."""
     samples = as_samples(series)
     if samples.size < 8:
         raise LengthError(f"need at least 8 samples to filter, got {samples.size}")
     b, a = design_butterworth_lowpass(spec)
-    filtered = _iir_forward(b, a, samples)
-    if isinstance(series, TimeSeries):
-        return series.with_samples(filtered, filtered={
-            "order": spec.order, "cutoff_hz": spec.cutoff_hz,
-            "sampling_rate_hz": spec.sampling_rate_hz,
-        })
-    return TimeSeries(filtered)
+    return _iir_forward(b, a, samples)
 
 
 # ---------------------------------------------------------------------------
 # Standardization
 # ---------------------------------------------------------------------------
 
-def _standardize_rows(rows: np.ndarray) -> np.ndarray:
-    centered = rows - rows.mean(axis=1, keepdims=True)
-    std = np.sqrt(np.mean(centered**2, axis=1, keepdims=True))
+def standardize(rows) -> np.ndarray:
+    """Zero-mean unit-variance rescaling (population std) over the last
+    axis: one series, or each row of a batch.
+
+    A constant series maps to all zeros by convention.
+    """
+    rows = np.asarray(rows, dtype=float)
+    if rows.shape[-1] < 2:
+        raise LengthError("standardization needs at least 2 samples")
+    centered = rows - rows.mean(axis=-1, keepdims=True)
+    std = np.sqrt(np.mean(centered**2, axis=-1, keepdims=True))
     return np.divide(centered, std, out=np.zeros_like(centered),
                      where=std != 0.0)
-
-
-def standardize(realization) -> TimeSeries:
-    """Zero-mean unit-variance rescaling (population std) per realization.
-
-    A constant realization maps to all zeros by convention.
-    """
-    samples = as_samples(realization)
-    if samples.size < 2:
-        raise LengthError("standardization needs at least 2 samples")
-    scaled = _standardize_rows(samples[None, :])[0]
-    if isinstance(realization, TimeSeries):
-        return realization.with_samples(scaled, standardized=True)
-    return TimeSeries(scaled, meta={"standardized": True})
 
 
 # ---------------------------------------------------------------------------
@@ -202,32 +190,34 @@ def pair_surrogates(originals, config: SurrogateConfig) -> list:
 
 def build_dataset(originals, config: SurrogateConfig,
                   surrogates=None) -> LabeledDataset:
-    """Pair every original with its surrogate and standardize both.
+    """Pair every row of the (N, L) ``originals`` with its surrogate and
+    standardize both.
 
-    ``surrogates`` may carry precomputed SurrogateResults (e.g. from the
-    surrogate pipeline stage); otherwise they are generated here with
-    per-pair seeds derived from ``config.seed``.  Standardization happens
-    after surrogate generation, so it cannot disturb the spectral and
-    distribution constraints the surrogates encode.
+    ``surrogates`` may carry the precomputed (N, L) surrogate rows (e.g.
+    from the surrogate pipeline stage); otherwise they are generated here
+    with per-pair seeds derived from ``config.seed``.  Standardization
+    happens after surrogate generation, so it cannot disturb the spectral
+    and distribution constraints the surrogates encode.
     """
-    originals = list(originals)
-    if not originals:
-        raise LengthError("need at least one original realization")
-    lengths = {len(o) for o in originals}
-    if len(lengths) != 1:
-        raise LengthError(f"originals have mixed lengths: {sorted(lengths)}")
-    L = lengths.pop()
-
+    try:
+        originals = np.asarray(originals, dtype=float)
+    except ValueError:
+        raise LengthError("originals have mixed lengths") from None
+    if originals.ndim != 2 or originals.shape[0] < 1:
+        raise LengthError("originals must be one nonempty (N, L) block, "
+                          f"got shape {originals.shape}")
     if surrogates is None:
-        surrogates = pair_surrogates(originals, config)
-    elif len(surrogates) != len(originals):
-        raise LengthError("surrogate count does not match original count")
+        surrogates = [r.surrogate for r in pair_surrogates(originals, config)]
+    elif np.shape(surrogates) != originals.shape:
+        raise LengthError("surrogate rows do not match the originals")
 
-    n = len(originals)
+    n, L = originals.shape
     rows = np.empty((2 * n, L))
-    rows[0::2] = [as_samples(o) for o in originals]
-    rows[1::2] = [as_samples(getattr(s, "surrogate", s)) for s in surrogates]
-    return LabeledDataset(X=_standardize_rows(rows),
+    rows[0::2] = originals
+    rows[1::2] = surrogates
+    if not np.isfinite(rows).all():
+        raise ParameterError("all samples must be finite")
+    return LabeledDataset(X=standardize(rows),
                           y=np.tile([LABEL_ORIGINAL, LABEL_SURROGATE], n),
                           pair_id=np.repeat(np.arange(n), 2),
                           split=np.full(2 * n, ""),

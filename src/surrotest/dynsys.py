@@ -6,8 +6,9 @@ stochastic control process: AR(1) noise pushed through the static transform
 y = x * sqrt(|x|).
 
 Each system has one generator, which produces a batch of N independent
-realizations; a single series is the N=1 batch,
-``make_realizations(system, L, 1, seed=...)[0]``.  Generation is a
+realizations as one (N, L) array; a single series is row 0 of the N=1
+batch.  ``make_realizations`` returns the rows with one provenance dict,
+which ``save_realizations`` writes as the batch's sidecar.  Generation is a
 deterministic function of (parameters, seed): each realization draws from
 its own RNG stream derived from the batch seed (see ``seeding``).  Flow
 batches are integrated together, but every realization has its own
@@ -26,7 +27,7 @@ import numpy as np
 
 from .errors import DivergenceError, LengthError, ParameterError, StiffnessError
 from .seeding import substream
-from .series import (TimeSeries, atomic_open, check_width, file_sha256,
+from .series import (as_samples, atomic_open, check_width, file_sha256,
                      meta_path, parse_cells, read_meta, write_json)
 
 # Default burn-in discarded before sampling: enough to land on the
@@ -398,82 +399,77 @@ _BATCH_GENERATORS = {
 
 
 def make_realizations(source, L: int, N: int, seed: int = 0,
-                      params=None) -> list:
-    """N realizations of length L from a named system or a long record.
+                      params=None) -> tuple:
+    """(rows, meta): N realizations of length L as an (N, L) array, from a
+    named system or a long record, and their provenance.
 
-    The source decides the mode.  A named system generates independent
-    realizations: fresh initial conditions each, after a burn-in.  A
-    TimeSeries record is windowed: each realization is a copy of L samples
-    at a uniformly random start index.  Deterministic given (source,
-    params, seed).
+    The source decides the mode.  A system name generates independent
+    realizations: fresh initial conditions each, after a burn-in.  A record
+    (any 1-D array) is windowed: each realization is a copy of L samples at
+    a uniformly random start index.  ``meta`` holds ``system``, ``seed``
+    and ``mode``, plus ``params`` for a system and ``dt`` for a flow.
+    Deterministic given (source, params, seed).
     """
     if L < 8:
         raise ParameterError(f"realization length must be at least 8, got {L}")
     if N < 1:
         raise ParameterError(f"need at least one realization, got {N}")
 
-    if isinstance(source, TimeSeries):
-        return _windowed_realizations(source, L, N, seed)
+    if not isinstance(source, str):
+        samples = as_samples(source)
+        if samples.size < L:
+            raise LengthError(
+                f"source length {samples.size} is shorter than window length {L}"
+            )
+        rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
+        starts = rng.integers(0, samples.size - L + 1, size=N)
+        rows = samples[starts[:, None] + np.arange(L)]
+        return rows, {"system": "record", "seed": seed, "mode": "windowed"}
 
-    system = str(source)
-    if system not in SYSTEMS:
-        raise ParameterError(f"unknown system {system!r}; expected one of {SYSTEMS}")
+    if source not in SYSTEMS:
+        raise ParameterError(f"unknown system {source!r}; expected one of {SYSTEMS}")
     if params is None:
-        params = _default_params(system)
-    rows = _BATCH_GENERATORS[system](L, N, seed, params)
-    dt = FLOW_DT.get(system)
-    meta = {"system": system, "seed": seed, "mode": "independent",
+        params = _default_params(source)
+    rows = _BATCH_GENERATORS[source](L, N, seed, params)
+    meta = {"system": source, "seed": seed, "mode": "independent",
             "params": asdict(params)}
-    return [TimeSeries(rows[i], dt=dt, meta={**meta, "index": i})
-            for i in range(N)]
-
-
-def _windowed_realizations(source: TimeSeries, L: int, N: int, seed: int) -> list:
-    samples = source.samples
-    if samples.size < L:
-        raise LengthError(
-            f"source length {samples.size} is shorter than window length {L}"
-        )
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
-    starts = rng.integers(0, samples.size - L + 1, size=N)
-    meta = {"system": source.meta.get("system", "record"), "seed": seed,
-            "mode": "windowed"}
-    return [TimeSeries(samples[s:s + L].copy(), dt=source.dt,
-                       meta={**meta, "index": i, "start": int(s)})
-            for i, s in enumerate(starts)]
+    if source in FLOW_DT:
+        meta["dt"] = FLOW_DT[source]
+    return rows, meta
 
 
 # ---------------------------------------------------------------------------
 # Serialization: one realization per CSV row, sidecar JSON with provenance
 # ---------------------------------------------------------------------------
 
-def save_realizations(path, realizations, extra_meta: dict | None = None) -> str:
-    """Write realizations as a headerless CSV plus a .meta.json sidecar;
+def save_realizations(path, rows, meta: dict,
+                      extra_meta: dict | None = None) -> str:
+    """Write an (N, L) batch as a headerless CSV plus a .meta.json sidecar
+    holding L, N, the provenance keys of ``meta`` and ``extra_meta``;
     return the SHA-256 of the CSV."""
     path = Path(path)
-    lengths = {len(r) for r in realizations}
-    if len(lengths) != 1:
-        raise LengthError(f"realizations have mixed lengths: {sorted(lengths)}")
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2:
+        raise LengthError(f"realizations must be one (N, L) array, "
+                          f"got shape {rows.shape}")
     with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
-        for r in realizations:
-            writer.writerow([f"{v:.17g}" for v in r.samples])
-    meta = {"L": lengths.pop(), "N": len(realizations)}
-    first = realizations[0]
-    for key in ("system", "seed", "mode", "params"):
-        if key in first.meta:
-            meta[key] = first.meta[key]
-    if first.dt is not None:
-        meta["dt"] = first.dt
+        for r in rows:
+            writer.writerow([f"{v:.17g}" for v in r])
+    sidecar = {"L": rows.shape[1], "N": rows.shape[0]}
+    for key in ("system", "seed", "mode", "params", "dt"):
+        if key in meta:
+            sidecar[key] = meta[key]
     if extra_meta:
-        meta.update(extra_meta)
-    write_json(meta_path(path), meta)
+        sidecar.update(extra_meta)
+    write_json(meta_path(path), sidecar)
     return file_sha256(path)
 
 
 def load_realizations(path) -> tuple:
-    """Read a realization CSV (and sidecar metadata when present); every
-    row must have the sidecar's L, or without one the first row's length."""
+    """(rows, meta): a realization CSV as an (N, L) array and its sidecar
+    ({} without one).  Every row must have the sidecar's L, or without one
+    the first row's length."""
     path = Path(path)
     meta = read_meta(path)
     width = meta.get("L")
@@ -488,8 +484,4 @@ def load_realizations(path) -> tuple:
             rows.append(np.array(parse_cells(row, path, reader.line_num)))
     if not rows:
         raise LengthError(f"{path} contains no realizations")
-    kept = {k: meta[k] for k in ("system", "seed", "mode", "params") if k in meta}
-    series = [TimeSeries(r, dt=meta.get("dt"), meta={"index": i, **kept})
-              for i, r in enumerate(rows)]
-    return series, meta
-
+    return np.array(rows), meta

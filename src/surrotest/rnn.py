@@ -156,8 +156,7 @@ def rnn_forward(model: RnnModel, sequence):
     h_0 = 0; h_t = ReLU(w_in * x_t + W_rec h_{t-1} + b_h);
     p = sigmoid(w_out . h_L + b_out).
     """
-    x = np.asarray(sequence.samples if hasattr(sequence, "samples") else sequence,
-                   dtype=float)
+    x = np.asarray(sequence, dtype=float)
     if x.ndim != 1 or x.size < 1:
         raise ParameterError("sequence must be a nonempty 1-D array")
     if not np.all(np.isfinite(x)):
@@ -187,8 +186,7 @@ def _coerce_batch(batch):
         return np.asarray(X, dtype=float), np.asarray(y, dtype=float)
     sequences, labels = [], []
     for seq, label in batch:
-        sequences.append(np.asarray(
-            seq.samples if hasattr(seq, "samples") else seq, dtype=float))
+        sequences.append(np.asarray(seq, dtype=float))
         labels.append(float(label))
     if not sequences:
         raise LengthError("batch is empty")
@@ -488,8 +486,6 @@ def load_report(path) -> TrainReport:
                                                      reader.line_num)):
                 curve.append(v)
     meta = read_meta(path)
-    if not isinstance(meta, dict):
-        raise ParseError(f"{meta_path(path)}: not a JSON object")
     for key, allowed in _REPORT_META_TYPES.items():
         value = meta.get(key)
         if key in meta and (isinstance(value, bool)

@@ -1,4 +1,10 @@
-"""Time series container and small helpers shared by all modules."""
+"""Helpers shared by all modules: sample coercion, CSV cells, JSON
+sidecars and atomic writes.
+
+A series is a 1-D float array and a batch of N realizations of length L
+is one (N, L) array; provenance travels beside a batch as one dict, which
+becomes the batch's JSON sidecar.
+"""
 
 from __future__ import annotations
 
@@ -6,55 +12,21 @@ import json
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import LengthError, ParameterError, ParseError
-
-
-@dataclass
-class TimeSeries:
-    """Ordered real-valued samples plus provenance metadata.
-
-    ``dt`` is the sampling interval in model time units and is ``None`` for
-    discrete maps and other unit-free sources.  ``meta`` records whatever is
-    needed to regenerate the series (system name, parameters, seed, burn-in).
-    """
-
-    samples: np.ndarray
-    dt: float | None = None
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=float)
-        if self.samples.ndim != 1:
-            raise ParameterError(
-                f"samples must be one-dimensional, got shape {self.samples.shape}"
-            )
-        if self.samples.size < 1:
-            raise LengthError("a time series needs at least one sample")
-        if not np.all(np.isfinite(self.samples)):
-            raise ParameterError("all samples must be finite")
-
-    def __len__(self):
-        return self.samples.size
-
-    def with_samples(self, samples, **meta_updates) -> "TimeSeries":
-        """Copy of this series with new samples and updated metadata."""
-        meta = dict(self.meta)
-        meta.update(meta_updates)
-        return TimeSeries(np.asarray(samples, dtype=float), dt=self.dt, meta=meta)
+from .errors import ParameterError, ParseError
 
 
 def as_samples(series) -> np.ndarray:
-    """Coerce a TimeSeries or array-like to a 1-D float array."""
-    if isinstance(series, TimeSeries):
-        return series.samples
+    """Coerce an array-like to a 1-D float array; a non-finite sample
+    raises ``ParameterError``."""
     arr = np.asarray(series, dtype=float)
     if arr.ndim != 1:
         raise ParameterError(f"expected a 1-D series, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ParameterError("all samples must be finite")
     return arr
 
 
@@ -98,9 +70,15 @@ def read_json(path):
 
 
 def read_meta(path) -> dict:
-    """The sidecar of ``path``, or {} when there is none."""
+    """The sidecar of ``path``, or {} when there is none; a sidecar whose
+    top level is not a JSON object raises ``ParseError`` naming it."""
     sidecar = meta_path(path)
-    return read_json(sidecar) if sidecar.exists() else {}
+    if not sidecar.exists():
+        return {}
+    meta = read_json(sidecar)
+    if not isinstance(meta, dict):
+        raise ParseError(f"{sidecar}: the top level must be a JSON object")
+    return meta
 
 
 @contextmanager

@@ -10,6 +10,9 @@ hypothesis about the input series:
   * iaaft   -- as aaft, but iteratively refined so the surrogate matches
                both the amplitude spectrum and the value distribution
 
+Each generator takes one series (a 1-D array-like of finite samples) and
+returns a ``SurrogateResult`` whose ``surrogate`` is a new 1-D array.
+
 Every transform is numpy.fft, reached as ``np.fft`` at call time so that
 importing this module does not load it.  Forward is unnormalized; inverse
 divides by n.  The projections that must return a real series use the
@@ -24,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import LengthError, NormalizationError, ParameterError
-from .series import TimeSeries, as_samples
+from .series import as_samples
 
 _TWO_PI = 2.0 * np.pi
 
@@ -115,9 +118,9 @@ class SurrogateConfig:
 
 @dataclass
 class SurrogateResult:
-    """A surrogate plus its per-iteration spectral discrepancy trace."""
+    """A surrogate series plus its per-iteration spectral discrepancy trace."""
 
-    surrogate: TimeSeries
+    surrogate: np.ndarray
     discrepancy_trace: list = field(default_factory=list)
     iterations: int = 1
     converged: bool = True
@@ -170,17 +173,9 @@ def spectral_discrepancy(a, b) -> float:
     return float(np.sqrt(np.mean((amp_a - amp_b) ** 2)) / denom)
 
 
-def _result(original, surrogate_samples, trace, converged) -> SurrogateResult:
-    if isinstance(original, TimeSeries):
-        surr = original.with_samples(surrogate_samples, surrogate=True)
-    else:
-        surr = TimeSeries(surrogate_samples, meta={"surrogate": True})
-    return SurrogateResult(
-        surrogate=surr,
-        discrepancy_trace=list(trace),
-        iterations=len(trace),
-        converged=converged,
-    )
+def _result(surrogate, trace, converged) -> SurrogateResult:
+    return SurrogateResult(surrogate=surrogate, discrepancy_trace=list(trace),
+                           iterations=len(trace), converged=converged)
 
 
 def _safe_discrepancy(x, candidate) -> float:
@@ -203,7 +198,7 @@ def shuffle_surrogate(series, seed: int = 0) -> SurrogateResult:
         raise LengthError("shuffling needs at least 2 samples")
     rng = np.random.default_rng(seed)
     surr = rng.permutation(x)
-    return _result(series, surr, [_safe_discrepancy(x, surr)], True)
+    return _result(surr, [_safe_discrepancy(x, surr)], True)
 
 
 def _phase_randomized(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -228,7 +223,7 @@ def ft_surrogate(series, seed: int = 0) -> SurrogateResult:
         raise LengthError("phase randomization needs at least 4 samples")
     rng = np.random.default_rng(seed)
     surr = _phase_randomized(x, rng)
-    return _result(series, surr, [_safe_discrepancy(x, surr)], True)
+    return _result(surr, [_safe_discrepancy(x, surr)], True)
 
 
 def aaft_surrogate(series, seed: int = 0) -> SurrogateResult:
@@ -245,7 +240,7 @@ def aaft_surrogate(series, seed: int = 0) -> SurrogateResult:
     gauss_like_x = rank_order(gauss, template=x)
     randomized = _phase_randomized(gauss_like_x, rng)
     surr = rank_order(x, template=randomized)
-    return _result(series, surr, [_safe_discrepancy(x, surr)], True)
+    return _result(surr, [_safe_discrepancy(x, surr)], True)
 
 
 def iaaft_surrogate(series, config: SurrogateConfig | None = None) -> SurrogateResult:
@@ -273,7 +268,7 @@ def iaaft_surrogate(series, config: SurrogateConfig | None = None) -> SurrogateR
 
     if np.all(x == x[0]):
         # Both constraints already hold; nothing to iterate.
-        return _result(series, x.copy(), [0.0], True)
+        return _result(x.copy(), [0.0], True)
 
     rng = np.random.default_rng(config.seed)
     n = x.size
@@ -306,7 +301,7 @@ def iaaft_surrogate(series, config: SurrogateConfig | None = None) -> SurrogateR
             break
         candidate = ranked
 
-    return _result(series, best, trace, best_disc <= config.tolerance)
+    return _result(best, trace, best_disc <= config.tolerance)
 
 
 _GENERATORS = {

@@ -152,7 +152,7 @@ def test_criterion_5a_iaaft_multiset_exact():
         for i in range(100):
             x = np.random.default_rng(5000 + 7 * L + i).normal(size=L)
             res = iaaft_surrogate(x, SurrogateConfig(seed=i))
-            if not np.array_equal(np.sort(res.surrogate.samples), np.sort(x)):
+            if not np.array_equal(np.sort(res.surrogate), np.sort(x)):
                 bad += 1
     report_line("5a", bad == 0,
                 f"IAAFT multiset exact in {300 - bad}/300 runs")
@@ -166,7 +166,7 @@ def test_criterion_5b_ft_amplitude_preservation():
             x = np.random.default_rng(6000 + 7 * L + i).normal(size=L)
             res = ft_surrogate(x, seed=i)
             amp_in = dft(x).amplitudes
-            amp_out = dft(res.surrogate.samples).amplitudes
+            amp_out = dft(res.surrogate).amplitudes
             worst = max(worst,
                         float(np.max(np.abs(amp_out - amp_in))
                               / np.max(amp_in)))

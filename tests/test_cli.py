@@ -241,7 +241,7 @@ def test_pipeline_reruns_from_frozen_config(tmp_path):
 def test_pipeline_on_user_record(tmp_path):
     # Synthetic stand-in for an experimental record: single-column file,
     # filtered and windowed before the usual pipeline.
-    record = make_realizations("lorenz", 600, 1, seed=11)[0]
+    record = make_realizations("lorenz", 600, 1, seed=11)[0][0]
     rec_path = tmp_path / "record.txt"
     save_series(rec_path, record)
     out = tmp_path / "run"
@@ -407,14 +407,33 @@ def test_config_of_wrong_shape_is_parameter_error(tmp_path, capsys, text):
 
 
 def test_filter_order_zero_is_parameter_error(tmp_path, capsys):
+    # With a filter, and without one: the order is frozen into the config
+    # either way.
+    for filter_flags in (["--filter-cutoff-hz", "2.0", "--filter-fs-hz", "20.0"],
+                         []):
+        out = tmp_path / "run"
+        assert run_cli("generate", "--system", "logistic", "--L", "16",
+                       "--N", "3", "--filter-order", "0", *filter_flags,
+                       "--out", out) == 2, filter_flags
+        err = capsys.readouterr().err
+        assert "error[ParameterError]" in err and "filter order" in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("artifact,reader", [("realizations", "surrogate"),
+                                             ("surrogates", "dataset"),
+                                             ("dataset", "train")])
+def test_sidecar_not_object_is_parse_error(tmp_path, capsys, artifact,
+                                           reader):
     out = tmp_path / "run"
-    assert run_cli("generate", "--system", "logistic", "--L", "16",
-                   "--N", "3", "--filter-order", "0",
-                   "--filter-cutoff-hz", "2.0", "--filter-fs-hz", "20.0",
-                   "--out", out) == 2
+    for stage in ("generate", "surrogate", "dataset"):
+        assert run_cli(stage, "--system", "logistic", "--out", out,
+                       *TINY) == 0, stage
+    sidecar = out / f"{artifact}.meta.json"
+    sidecar.write_text("[]\n")
+    assert run_cli(reader, "--system", "logistic", "--out", out, *TINY) == 2
     err = capsys.readouterr().err
-    assert "error[ParameterError]" in err and "filter order" in err
-    assert not out.exists()
+    assert "error[ParseError]" in err and str(sidecar) in err
 
 
 def readme_commands() -> list:
@@ -433,6 +452,17 @@ def test_readme_commands_parse():
     for line in commands:
         args = build_parser().parse_args(shlex.split(line, comments=True)[1:])
         resolve_config(args)
+
+
+def test_readme_library_example_runs(capsys):
+    # README's library example, shrunk to a few realizations and epochs.
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    code = text.split("## Library", 1)[1].split("```python", 1)[1]
+    code = code.split("```", 1)[0]
+    assert "N=1000" in code and "epochs=400" in code
+    code = code.replace("N=1000", "N=12").replace("epochs=400", "epochs=2")
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.strip()
 
 
 def test_output_root_env_var(tmp_path, monkeypatch):

@@ -12,7 +12,6 @@ from surrotest.dynsys import (load_realizations, make_realizations,
                               save_realizations)
 from surrotest.errors import (LengthError, ParameterError, ParseError,
                               SplitError)
-from surrotest.series import TimeSeries
 from surrotest.spectral import SurrogateConfig
 
 
@@ -24,7 +23,7 @@ def test_load_series_column(tmp_path):
     path = tmp_path / "rec.txt"
     path.write_text("1\n2\n3\n")
     ts = load_series(path)
-    assert np.array_equal(ts.samples, [1.0, 2.0, 3.0])
+    assert np.array_equal(ts, [1.0, 2.0, 3.0])
 
 
 def test_load_series_parse_error_names_line(tmp_path):
@@ -47,14 +46,14 @@ def test_load_series_row_format(tmp_path):
     path = tmp_path / "rec.csv"
     path.write_text("1.5,-2.25,3e-4\n")
     ts = load_series(path)
-    assert np.array_equal(ts.samples, [1.5, -2.25, 3e-4])
+    assert np.array_equal(ts, [1.5, -2.25, 3e-4])
 
 
 def test_load_series_mixed_lines_keep_file_order(tmp_path):
     path = tmp_path / "rec.txt"
     path.write_text("1\n2.5,3\n\n-4,5e-1,6\n7\n")
     ts = load_series(path)
-    assert np.array_equal(ts.samples, [1.0, 2.5, 3.0, -4.0, 0.5, 6.0, 7.0])
+    assert np.array_equal(ts, [1.0, 2.5, 3.0, -4.0, 0.5, 6.0, 7.0])
 
 
 @settings(max_examples=25, deadline=None)
@@ -66,7 +65,7 @@ def test_save_load_round_trip_bit_exact(tmp_path_factory, values):
     path = tmp_path_factory.mktemp("io") / "rec.txt"
     save_series(path, np.array(values))
     loaded = load_series(path)
-    assert np.array_equal(loaded.samples, np.array(values))
+    assert np.array_equal(loaded, np.array(values))
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +93,7 @@ def test_dc_gain_is_unity():
     assert transfer_magnitude(b, a, 0.0, 1000.0) == pytest.approx(1.0, abs=1e-12)
     out = butterworth_lowpass(np.full(400, 2.5), SPEC)
     # After the transient the output settles at the input level.
-    assert np.max(np.abs(out.samples[200:] - 2.5)) < 1e-6 * 2.5
+    assert np.max(np.abs(out[200:] - 2.5)) < 1e-6 * 2.5
 
 
 def test_cutoff_is_half_power_point():
@@ -108,7 +107,7 @@ def test_cutoff_sinusoid_amplitude_ratio():
     fs, fc = 1000.0, 40.0
     t = np.arange(2000) / fs
     x = np.sin(2.0 * np.pi * fc * t)
-    y = butterworth_lowpass(x, SPEC).samples
+    y = butterworth_lowpass(x, SPEC)
     tail = slice(1000, 2000)  # integer number of cycles, transient gone
     zvec = np.exp(-1j * 2.0 * np.pi * fc * t[tail])
     amp = 2.0 * np.abs(np.mean(y[tail] * zvec))
@@ -122,7 +121,7 @@ def test_four_times_cutoff_strongly_attenuated():
     assert transfer_magnitude(b, a, 4 * fc, fs) < 10 ** (-45.0 / 20.0)
     t = np.arange(2000) / fs
     x = np.sin(2.0 * np.pi * 4 * fc * t)
-    y = butterworth_lowpass(x, SPEC).samples
+    y = butterworth_lowpass(x, SPEC)
     tail = slice(1000, 2000)
     zvec = np.exp(-1j * 2.0 * np.pi * 4 * fc * t[tail])
     amp = 2.0 * np.abs(np.mean(y[tail] * zvec))
@@ -134,9 +133,9 @@ def test_filter_is_linear():
     x = rng.normal(size=256)
     y = rng.normal(size=256)
     a_, b_ = 2.5, -1.25
-    lhs = butterworth_lowpass(a_ * x + b_ * y, SPEC).samples
-    rhs = (a_ * butterworth_lowpass(x, SPEC).samples
-           + b_ * butterworth_lowpass(y, SPEC).samples)
+    lhs = butterworth_lowpass(a_ * x + b_ * y, SPEC)
+    rhs = (a_ * butterworth_lowpass(x, SPEC)
+           + b_ * butterworth_lowpass(y, SPEC))
     assert np.max(np.abs(lhs - rhs)) < 1e-9
 
 
@@ -159,7 +158,7 @@ def test_filter_matches_numpy_scalar_recurrence(order):
     spec = FilterSpec(cutoff_hz=40.0, sampling_rate_hz=173.61, order=order)
     x = np.random.default_rng(order).normal(size=5000)
     expected = iir_reference(*design_butterworth_lowpass(spec), x)
-    assert np.array_equal(butterworth_lowpass(x, spec).samples, expected)
+    assert np.array_equal(butterworth_lowpass(x, spec), expected)
 
 
 def test_filter_rejects_short_input():
@@ -173,19 +172,28 @@ def test_filter_rejects_short_input():
 
 def test_standardize_small_example():
     out = standardize(np.array([1.0, 2.0, 3.0]))
-    assert np.allclose(out.samples, [-1.224745, 0.0, 1.224745], atol=1e-6)
+    assert np.allclose(out, [-1.224745, 0.0, 1.224745], atol=1e-6)
 
 
 def test_standardize_constant_maps_to_zeros():
     out = standardize(np.full(4, 5.0))
-    assert np.array_equal(out.samples, np.zeros(4))
+    assert np.array_equal(out, np.zeros(4))
 
 
 def test_standardize_moments():
     x = np.random.default_rng(3).normal(2.0, 7.0, size=128)
-    out = standardize(x).samples
+    out = standardize(x)
     assert abs(out.mean()) < 1e-12
     assert abs(np.mean(out**2) - 1.0) < 1e-12
+
+
+def test_standardize_rows_match_single_series():
+    rows = np.random.default_rng(3).normal(2.0, 3.0, size=(5, 16))
+    rows[2] = 4.0
+    out = standardize(rows)
+    assert np.array_equal(out[2], np.zeros(16))
+    for row, scaled in zip(rows, out):
+        assert np.array_equal(scaled, standardize(row))
 
 
 def test_standardize_needs_two_samples():
@@ -199,12 +207,12 @@ def test_standardize_needs_two_samples():
 
 @pytest.fixture(scope="module")
 def small_dataset():
-    originals = make_realizations("logistic", 16, 10, seed=21)
+    originals = make_realizations("logistic", 16, 10, seed=21)[0]
     return build_dataset(originals, SurrogateConfig(seed=22))
 
 
 def test_build_single_pair():
-    originals = make_realizations("logistic", 16, 1, seed=23)
+    originals = make_realizations("logistic", 16, 1, seed=23)[0]
     ds = build_dataset(originals, SurrogateConfig(seed=24))
     assert len(ds) == 2
     assert sorted(ds.y.tolist()) == [0, 1]
@@ -218,15 +226,13 @@ def test_build_label_balance(small_dataset):
 def test_build_surrogate_multiset_per_pair(small_dataset):
     # The surrogates that build_dataset standardizes share each original's
     # value multiset exactly.
-    originals = make_realizations("logistic", 16, 10, seed=21)
+    originals = make_realizations("logistic", 16, 10, seed=21)[0]
     results = pair_surrogates(originals, SurrogateConfig(seed=22))
     for pid, (orig, res) in enumerate(zip(originals, results)):
-        assert np.array_equal(np.sort(orig.samples),
-                              np.sort(res.surrogate.samples)), pid
-        assert np.array_equal(small_dataset.X[2 * pid],
-                              standardize(orig).samples), pid
+        assert np.array_equal(np.sort(orig), np.sort(res.surrogate)), pid
+        assert np.array_equal(small_dataset.X[2 * pid], standardize(orig)), pid
         assert np.array_equal(small_dataset.X[2 * pid + 1],
-                              standardize(res.surrogate).samples), pid
+                              standardize(res.surrogate)), pid
 
 
 def test_build_items_are_standardized(small_dataset):
@@ -236,10 +242,24 @@ def test_build_items_are_standardized(small_dataset):
 
 
 def test_build_rejects_mixed_lengths():
-    a = TimeSeries(np.arange(16, dtype=float))
-    b = TimeSeries(np.arange(32, dtype=float))
-    with pytest.raises(LengthError):
-        build_dataset([a, b], SurrogateConfig(seed=0))
+    # Originals and surrogates must be one (N, L) block each, of one shape.
+    rows = np.arange(64, dtype=float).reshape(4, 16)
+    for originals, surrogates in (([rows[0], np.arange(32.0)], None),
+                                  (rows[0], None), (rows[:0], None),
+                                  (rows, rows[:3])):
+        with pytest.raises(LengthError):
+            build_dataset(originals, SurrogateConfig(seed=0),
+                          surrogates=surrogates)
+
+
+def test_build_rejects_non_finite_rows():
+    rows = np.arange(64, dtype=float).reshape(4, 16)
+    bad = rows.copy()
+    bad[1, 3] = np.inf
+    for originals, surrogates in ((bad, None), (bad, rows), (rows, bad)):
+        with pytest.raises(ParameterError, match="finite"):
+            build_dataset(originals, SurrogateConfig(seed=0),
+                          surrogates=surrogates)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +310,7 @@ def test_split_deterministic(small_dataset):
 
 
 def test_split_rejects_tiny_dataset():
-    originals = make_realizations("logistic", 16, 2, seed=25)
+    originals = make_realizations("logistic", 16, 2, seed=25)[0]
     ds = build_dataset(originals, SurrogateConfig(seed=26))
     with pytest.raises(SplitError):
         split_dataset(ds, seed=9)
@@ -317,8 +337,8 @@ def test_dataset_round_trip(tmp_path, small_dataset):
 def saved_csvs(tmp_path_factory):
     """A realization CSV and a dataset CSV, each with its sidecar."""
     root = tmp_path_factory.mktemp("saved")
-    originals = make_realizations("logistic", 16, 6, seed=40)
-    save_realizations(root / "realizations.csv", originals)
+    originals, meta = make_realizations("logistic", 16, 6, seed=40)
+    save_realizations(root / "realizations.csv", originals, meta)
     ds = split_dataset(build_dataset(originals, SurrogateConfig(seed=41)),
                        seed=42)
     save_dataset(root / "dataset.csv", ds)

@@ -8,13 +8,11 @@ from surrotest.dynsys import (MAP_BURN_IN, NOISE_BURN_IN, FlowParams,
                               save_realizations)
 from surrotest.errors import (DivergenceError, LengthError, ParameterError)
 from surrotest.seeding import substream
-from surrotest.series import TimeSeries
 
 
 def batch(system, L, N, seed, params=None) -> np.ndarray:
     """The (N, L) sample matrix of a generated batch."""
-    return np.array([r.samples for r in
-                     make_realizations(system, L, N, seed=seed, params=params)])
+    return make_realizations(system, L, N, seed=seed, params=params)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -282,48 +280,51 @@ def test_ar1_rejects_nonstationary():
 # ---------------------------------------------------------------------------
 
 def test_windowed_single_window_is_source():
-    src = TimeSeries(np.arange(32, dtype=float))
-    out = make_realizations(src, 32, 1, seed=9)
-    assert len(out) == 1
-    assert np.array_equal(out[0].samples, src.samples)
+    src = np.arange(32, dtype=float)
+    rows, meta = make_realizations(src, 32, 1, seed=9)
+    assert rows.shape == (1, 32)
+    assert np.array_equal(rows[0], src)
+    assert meta == {"system": "record", "seed": 9, "mode": "windowed"}
 
 
 def test_windowed_windows_are_exact_slices():
-    src = TimeSeries(np.random.default_rng(10).normal(size=200))
-    out = make_realizations(src, 16, 25, seed=11)
-    for r in out:
-        start = r.meta["start"]
-        assert np.array_equal(r.samples, src.samples[start:start + 16])
+    src = np.random.default_rng(10).normal(size=200)
+    rows, _ = make_realizations(src, 16, 25, seed=11)
+    starts = np.random.default_rng(np.random.SeedSequence([11])).integers(
+        0, 200 - 16 + 1, size=25)
+    for row, start in zip(rows, starts):
+        assert np.array_equal(row, src[start:start + 16])
 
 
 def test_windowed_source_too_short():
-    src = TimeSeries(np.arange(10, dtype=float))
     with pytest.raises(LengthError):
-        make_realizations(src, 32, 4, seed=0)
+        make_realizations(np.arange(10, dtype=float), 32, 4, seed=0)
+
+
+def test_windowed_source_must_be_finite():
+    src = np.arange(64, dtype=float)
+    src[40] = np.nan
+    with pytest.raises(ParameterError, match="finite"):
+        make_realizations(src, 16, 4, seed=0)
 
 
 def test_logistic_realizations_shape_and_range():
-    out = make_realizations("logistic", 32, 50, seed=12)
-    assert len(out) == 50
-    for r in out:
-        assert len(r) == 32
-        assert np.all((r.samples >= 0.0) & (r.samples <= 1.0))
+    out = batch("logistic", 32, 50, seed=12)
+    assert out.shape == (50, 32)
+    assert np.all((out >= 0.0) & (out <= 1.0))
 
 
 def test_make_realizations_deterministic():
     for system in ("logistic", "henon", "ar1"):
-        a = make_realizations(system, 16, 5, seed=13)
-        b = make_realizations(system, 16, 5, seed=13)
-        for ra, rb in zip(a, b):
-            assert np.array_equal(ra.samples, rb.samples)
+        assert np.array_equal(batch(system, 16, 5, seed=13),
+                              batch(system, 16, 5, seed=13))
 
 
 def test_make_realizations_flow_deterministic():
-    a = make_realizations("lorenz", 16, 3, seed=14)
-    b = make_realizations("lorenz", 16, 3, seed=14)
-    for ra, rb in zip(a, b):
-        assert np.array_equal(ra.samples, rb.samples)
-    assert a[0].dt == 0.05
+    a, meta = make_realizations("lorenz", 16, 3, seed=14)
+    assert np.array_equal(a, batch("lorenz", 16, 3, seed=14))
+    assert meta["dt"] == 0.05
+    assert "dt" not in make_realizations("henon", 16, 3, seed=14)[1]
 
 
 @pytest.mark.parametrize("system", ["lorenz", "rossler", "chua"])
@@ -355,11 +356,9 @@ def test_make_realizations_rejects_bad_arguments():
 
 
 def test_realizations_round_trip(tmp_path):
-    out = make_realizations("henon", 16, 8, seed=15)
+    rows, meta = make_realizations("henon", 16, 8, seed=15)
     path = tmp_path / "r.csv"
-    save_realizations(path, out)
-    loaded, meta = load_realizations(path)
-    assert meta["system"] == "henon"
-    assert meta["L"] == 16 and meta["N"] == 8
-    for a, b in zip(out, loaded):
-        assert np.array_equal(a.samples, b.samples)
+    save_realizations(path, rows, meta)
+    loaded, sidecar = load_realizations(path)
+    assert sidecar == {"L": 16, "N": 8, **meta}
+    assert np.array_equal(rows, loaded)

@@ -289,7 +289,7 @@ def test_evaluate_negated_output_flips_predictions():
 
 @pytest.fixture(scope="module")
 def toy_dataset():
-    originals = make_realizations("logistic", 16, 8, seed=30)
+    originals = make_realizations("logistic", 16, 8, seed=30)[0]
     ds = build_dataset(originals, SurrogateConfig(seed=31))
     return split_dataset(ds, seed=32)
 
@@ -371,7 +371,7 @@ def reference_train(init_seed, dataset, epochs, config):
 
 @pytest.fixture(scope="module")
 def small_dataset():
-    originals = make_realizations("henon", 16, 40, seed=40)
+    originals = make_realizations("henon", 16, 40, seed=40)[0]
     ds = build_dataset(originals, SurrogateConfig(seed=41))
     return split_dataset(ds, seed=42)
 

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from surrotest.errors import LengthError, NormalizationError
-from surrotest.series import TimeSeries
+from surrotest.errors import LengthError, NormalizationError, ParameterError
 from surrotest.spectral import (SurrogateConfig, aaft_surrogate, dft,
                                 ft_surrogate, iaaft_surrogate, idft,
                                 idft_real, rank_order, shuffle_surrogate,
@@ -127,13 +126,13 @@ def test_shuffle_rejects_single_sample():
 def test_shuffle_constant_series_unchanged():
     x = np.full(16, 3.25)
     res = shuffle_surrogate(x, seed=1)
-    assert np.array_equal(res.surrogate.samples, x)
+    assert np.array_equal(res.surrogate, x)
 
 
 def test_shuffle_preserves_multiset():
     x = np.random.default_rng(7).normal(size=50)
     res = shuffle_surrogate(x, seed=2)
-    assert np.array_equal(np.sort(res.surrogate.samples), np.sort(x))
+    assert np.array_equal(np.sort(res.surrogate), np.sort(x))
 
 
 # ---------------------------------------------------------------------------
@@ -144,25 +143,25 @@ def test_ft_preserves_amplitude_spectrum():
     x = np.random.default_rng(8).normal(size=64)
     res = ft_surrogate(x, seed=3)
     amp_in = dft(x).amplitudes
-    amp_out = dft(res.surrogate.samples).amplitudes
+    amp_out = dft(res.surrogate).amplitudes
     assert np.max(np.abs(amp_out - amp_in)) < 1e-10 * np.max(amp_in)
 
 
 def test_ft_pure_dc_unchanged():
     x = np.full(8, 2.5)
     res = ft_surrogate(x, seed=4)
-    assert np.allclose(res.surrogate.samples, x, atol=1e-12)
+    assert np.allclose(res.surrogate, x, atol=1e-12)
 
 
 def test_ft_output_is_real_reconstruction():
     x = np.random.default_rng(9).normal(size=33)  # odd length: no Nyquist bin
-    y = ft_surrogate(x, seed=5).surrogate.samples
+    y = ft_surrogate(x, seed=5).surrogate
     assert y.dtype == np.float64 and y.shape == x.shape
     assert np.all(np.isfinite(y))
     # The DC bin is kept, so the mean is too; the free phases are not.
     assert abs(y.mean() - x.mean()) < 1e-12
     assert not np.allclose(y, x)
-    assert not np.allclose(y, ft_surrogate(x, seed=6).surrogate.samples)
+    assert not np.allclose(y, ft_surrogate(x, seed=6).surrogate)
 
 
 # ---------------------------------------------------------------------------
@@ -172,21 +171,21 @@ def test_ft_output_is_real_reconstruction():
 def test_aaft_multiset_exact():
     x = np.random.default_rng(10).normal(size=64)
     res = aaft_surrogate(x, seed=6)
-    assert np.array_equal(np.sort(res.surrogate.samples), np.sort(x))
+    assert np.array_equal(np.sort(res.surrogate), np.sort(x))
 
 
 def test_aaft_constant_input_identity():
     x = np.full(16, -1.5)
     res = aaft_surrogate(x, seed=7)
-    assert np.array_equal(res.surrogate.samples, x)
+    assert np.array_equal(res.surrogate, x)
 
 
 def test_aaft_distinct_seeds_distinct_outputs():
     x = np.random.default_rng(11).normal(size=64)
     distinct = 0
     for seed in range(10):
-        a = aaft_surrogate(x, seed=seed).surrogate.samples
-        b = aaft_surrogate(x, seed=seed + 100).surrogate.samples
+        a = aaft_surrogate(x, seed=seed).surrogate
+        b = aaft_surrogate(x, seed=seed + 100).surrogate
         distinct += not np.array_equal(a, b)
     assert distinct == 10
 
@@ -198,7 +197,7 @@ def test_aaft_distinct_seeds_distinct_outputs():
 def test_iaaft_constant_series_converges_immediately():
     x = np.full(16, 4.0)
     res = iaaft_surrogate(x, SurrogateConfig(seed=1))
-    assert np.array_equal(res.surrogate.samples, x)
+    assert np.array_equal(res.surrogate, x)
     assert res.iterations == 1
     assert res.converged
 
@@ -207,7 +206,7 @@ def test_iaaft_constant_series_converges_immediately():
 def test_iaaft_multiset_exact(seed):
     x = np.random.default_rng(20 + seed).normal(size=64)
     res = iaaft_surrogate(x, SurrogateConfig(seed=seed))
-    assert np.array_equal(np.sort(res.surrogate.samples), np.sort(x))
+    assert np.array_equal(np.sort(res.surrogate), np.sort(x))
 
 
 def test_iaaft_trace_invariants():
@@ -215,7 +214,7 @@ def test_iaaft_trace_invariants():
     res = iaaft_surrogate(x, SurrogateConfig(seed=3, max_iter=50))
     assert len(res.discrepancy_trace) == res.iterations
     # Best-iterate rule: the returned surrogate realizes the trace minimum.
-    returned = spectral_discrepancy(x, res.surrogate.samples)
+    returned = spectral_discrepancy(x, res.surrogate)
     assert returned == pytest.approx(min(res.discrepancy_trace), rel=1e-12)
 
 
@@ -223,7 +222,7 @@ def test_iaaft_deterministic():
     x = np.random.default_rng(31).normal(size=64)
     a = iaaft_surrogate(x, SurrogateConfig(seed=9))
     b = iaaft_surrogate(x, SurrogateConfig(seed=9))
-    assert np.array_equal(a.surrogate.samples, b.surrogate.samples)
+    assert np.array_equal(a.surrogate, b.surrogate)
     assert a.discrepancy_trace == b.discrepancy_trace
 
 
@@ -267,24 +266,27 @@ def test_iaaft_fixed_point_stop_matches_full_budget(L, seed):
     config = SurrogateConfig(seed=seed, max_iter=100)
     res = iaaft_surrogate(x, config)
     best, trace = full_budget_iaaft(x, config)
-    assert np.array_equal(res.surrogate.samples, best)
+    assert np.array_equal(res.surrogate, best)
     assert res.iterations < config.max_iter
     assert res.discrepancy_trace == trace[:res.iterations]
     assert min(res.discrepancy_trace) == min(trace)
     assert not res.converged
 
 
-def test_iaaft_carries_series_metadata():
-    ts = TimeSeries(np.random.default_rng(33).normal(size=32),
-                    meta={"system": "noise"})
-    res = iaaft_surrogate(ts, SurrogateConfig(seed=5))
-    assert res.surrogate.meta["system"] == "noise"
-    assert res.surrogate.meta["surrogate"] is True
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_surrogates_reject_non_finite_series(bad):
+    x = np.random.default_rng(33).normal(size=32)
+    x[7] = bad
+    for fn in (shuffle_surrogate, ft_surrogate, aaft_surrogate):
+        with pytest.raises(ParameterError, match="finite"):
+            fn(x, seed=5)
+    with pytest.raises(ParameterError, match="finite"):
+        iaaft_surrogate(x, SurrogateConfig(seed=5))
 
 
 def test_surrogates_deterministic_given_seed():
     x = np.random.default_rng(34).normal(size=32)
     for fn in (shuffle_surrogate, ft_surrogate, aaft_surrogate):
-        a = fn(x, seed=11).surrogate.samples
-        b = fn(x, seed=11).surrogate.samples
+        a = fn(x, seed=11).surrogate
+        b = fn(x, seed=11).surrogate
         assert np.array_equal(a, b)
