@@ -420,6 +420,19 @@ def test_filter_order_zero_is_parameter_error(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--clip-norm", "-1"), ("--clip-norm", "0"), ("--clip-norm", "nan"),
+    ("--clip-norm", "inf"), ("--lr", "inf")])
+def test_bad_step_setting_fails_before_any_stage(tmp_path, capsys, flag,
+                                                 value):
+    out = tmp_path / "run"
+    assert run_cli("pipeline", "--system", "logistic", *TINY, flag, value,
+                   "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "error[ParameterError]" in err and "must be finite" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("artifact,reader", [("realizations", "surrogate"),
                                              ("surrogates", "dataset"),
                                              ("dataset", "train")])

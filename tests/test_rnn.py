@@ -5,9 +5,10 @@ import pytest
 
 from surrotest.dataset import build_dataset, split_dataset
 from surrotest.dynsys import make_realizations
-from surrotest.errors import ParameterError, ParseError
-from surrotest.rnn import (PARAM_NAMES, RnnModel, TrainConfig, adam_init,
-                           adam_step, bce_loss, bptt_gradients,
+from surrotest.errors import NumericError, ParameterError, ParseError
+from surrotest.rnn import (PARAM_NAMES, RnnModel, TrainConfig, _batch_loss,
+                           _forward_batch, _loss_and_gradients, _sigmoid,
+                           adam_init, adam_step, bce_loss, bptt_gradients,
                            clip_gradients, evaluate, init_model, load_model,
                            load_report, rnn_forward, save_model, save_report,
                            train)
@@ -112,6 +113,109 @@ def test_forward_scaling_output_weights_keeps_class():
         scaled.b_out[...] = m.b_out * c
         q, _ = rnn_forward(scaled, x)
         assert (q >= 0.5) == (p >= 0.5)
+
+
+def test_overflowing_hidden_state_is_numeric_error():
+    H = 2
+    m = RnnModel(w_in=np.ones(H), w_rec=np.full((H, H), 1e200),
+                 b_h=np.zeros(H), w_out=np.ones(H), b_out=np.zeros(1))
+    X = np.ones((2, 6))
+    X[0] = 0.0                  # this row stays at zero throughout
+    # trace[1] is 1, trace[2] is 1 + 2e200, and trace[3] overflows.
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match="activation at step 3$"):
+            _forward_batch(m, X)
+        with pytest.raises(NumericError, match="activation at step 3$"):
+            rnn_forward(m, X[1])
+
+
+# ---------------------------------------------------------------------------
+# bit-exact kernels
+# ---------------------------------------------------------------------------
+
+# The forward and backward sweeps written with fresh temporaries at every
+# step.  The kernels run in preallocated buffers and must give the same bits.
+
+def ref_sigmoid(z):
+    out = np.empty_like(z, dtype=float)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def ref_forward(model, X):
+    B, L = X.shape
+    drive = X[:, :, None] * model.w_in + model.b_h
+    trace = np.empty((L + 1, B, model.hidden_size))
+    trace[0] = 0.0
+    h = trace[0]
+    w_rec_t = model.w_rec.T.copy()
+    for t in range(L):
+        h = np.maximum(drive[:, t] + h @ w_rec_t, 0.0)
+        trace[t + 1] = h
+    logits = trace[L] @ model.w_out + model.b_out[0]
+    return ref_sigmoid(np.atleast_1d(logits)), trace
+
+
+def ref_loss_and_gradients(model, X, y):
+    B, L = X.shape
+    p, trace = ref_forward(model, X)
+    dz = (p - y) / B
+    deltas = np.empty((L, B, model.hidden_size))
+    delta = np.outer(dz, model.w_out) * (trace[L] > 0.0)
+    deltas[L - 1] = delta
+    for t in range(L - 1, 0, -1):
+        delta = (delta @ model.w_rec) * (trace[t] > 0.0)
+        deltas[t - 1] = delta
+    grad = np.concatenate((
+        np.tensordot(deltas, X, axes=([0, 1], [1, 0])),
+        np.tensordot(deltas, trace[:L], axes=([0, 1], [0, 1])).ravel(),
+        deltas.sum(axis=(0, 1)),
+        trace[L].T @ dz,
+        [dz.sum()],
+    ))
+    return _batch_loss(p, y), grad
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("H", [1, 10, 20])
+@pytest.mark.parametrize("L", [8, 64, 128])
+@pytest.mark.parametrize("B", [1, 2, 16, 50])
+def test_kernels_match_allocating_reference_bit_for_bit(B, L, H):
+    rng = np.random.default_rng(1000 * B + 10 * L + H)
+    m = init_model(H, seed=B + L + H)       # b_h is zero after init
+    X = rng.normal(size=(B, L))
+    # Zero inputs with a zero bias and a zero state give pre-activations of
+    # exactly 0, the edge of the ReLU mask: the first steps of every row,
+    # and every step of the first row when there are several.
+    X[:, :3] = 0.0
+    if B > 1:
+        X[0] = 0.0
+    y = (np.arange(B) % 2).astype(float)
+    for b_out in (0.0, 40.0, -40.0, 800.0, -800.0):
+        m.b_out[...] = b_out
+        p, trace = _forward_batch(m, X)
+        p_ref, trace_ref = ref_forward(m, X)
+        assert (trace[1:4] == 0.0).all() and (trace[1:] > 0.0).any()
+        assert np.array_equal(bits(p), bits(p_ref))
+        assert np.array_equal(bits(trace), bits(trace_ref))
+        loss, grad = _loss_and_gradients(m, X, y)
+        loss_ref, grad_ref = ref_loss_and_gradients(m, X, y)
+        assert np.array_equal(bits(loss), bits(loss_ref))
+        assert np.array_equal(bits(grad), bits(grad_ref))
+
+
+def test_sigmoid_matches_reference_bit_for_bit():
+    z = np.array([0.0, -0.0, 40.0, -40.0, 800.0, -800.0, np.inf, -np.inf,
+                  np.nan, np.copysign(np.nan, -1.0), 1e-300, -1e-300, 0.5])
+    assert np.array_equal(bits(_sigmoid(z)), bits(ref_sigmoid(z)))
+    # Both signs of NaN come back with their own sign.
+    assert bits(_sigmoid(z))[8] >= 0 > bits(_sigmoid(z))[9]
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +500,15 @@ def test_train_matches_per_parameter_reference(small_dataset, clip_norm):
 def test_train_validates_epochs(toy_dataset):
     with pytest.raises(ParameterError):
         train(0, toy_dataset, -1, TrainConfig(hidden_size=2))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lr", np.inf), ("lr", np.nan), ("lr", 0.0), ("clip_norm", -1.0),
+    ("clip_norm", 0.0), ("clip_norm", np.nan), ("clip_norm", np.inf)])
+def test_train_config_rejects_bad_step_settings(field, value):
+    with pytest.raises(ParameterError):
+        TrainConfig(**{field: value})
+    assert TrainConfig(clip_norm=None).clip_norm is None
 
 
 def test_train_report_curves_consistent(toy_dataset):
