@@ -167,10 +167,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 def cmd_generate(cfg: RunConfig) -> tuple:
     """(rows, meta, digest): the realizations, their provenance and the
     SHA-256 of the realizations.csv written."""
-    source, params = cfg.system, None
+    source, params, spec = cfg.system, None, cfg.filter_spec()
     if cfg.system == "file":
         source = load_series(cfg.input)
-        spec = cfg.filter_spec()
         if spec is not None:
             source = butterworth_lowpass(source, spec)
     elif cfg.system == "ar1":
@@ -178,6 +177,12 @@ def cmd_generate(cfg: RunConfig) -> tuple:
     rows, meta = dynsys.make_realizations(
         source, cfg.L, cfg.N, seed=stage_seed(cfg.master_seed, "generation"),
         params=params)
+    # A record was filtered before windowing; each row of a system is
+    # filtered from a zero state.  Surrogates are made from the result.
+    if spec is not None:
+        if cfg.system != "file":
+            rows = np.array([butterworth_lowpass(r, spec) for r in rows])
+        meta["filter"] = asdict(spec)
     digest = dynsys.save_realizations(cfg.outdir() / "realizations.csv",
                                       rows, meta,
                                       extra_meta={"master_seed": cfg.master_seed})
@@ -229,26 +234,20 @@ def _stored_surrogates(cfg: RunConfig, digest: str):
 
 def cmd_dataset(cfg: RunConfig, input_path=None, realizations=None,
                 surrogates=None) -> LabeledDataset:
-    """The labeled, split dataset.  Without the two earlier stages' results
-    it reads the realizations, and surrogates.csv if it is fresh."""
-    originals, _, digest = realizations or _read_realizations(
+    """The labeled, split dataset.  Run alone it reads the realizations and
+    a fresh surrogates.csv, or makes one by running the surrogate stage."""
+    realizations = realizations or _read_realizations(
         _stage_input(cfg, input_path, "realizations.csv"))
-    # For records (system "file") the filter ran at ingestion, before
-    # windowing.  For prebuilt realization CSVs it applies per realization
-    # here - and must precede surrogate generation, or original and
-    # surrogate would no longer share a value multiset, so any precomputed
-    # surrogates are discarded in that case.
-    spec = cfg.filter_spec()
-    if spec is not None and cfg.system != "file":
-        originals = [butterworth_lowpass(o, spec) for o in originals]
-        surrogates = None
-    elif surrogates is None:
+    originals, meta, digest = realizations
+    if surrogates is None:
         surrogates = _stored_surrogates(cfg, digest)
+    if surrogates is None:
+        surrogates = cmd_surrogate(cfg, input_path, realizations)
     ds = build_dataset(originals, cfg.surrogate_config(), surrogates=surrogates)
     ds = split_dataset(ds, stage_seed(cfg.master_seed, "split"))
     save_dataset(cfg.outdir() / "dataset.csv", ds, extra_meta={
         "surrogate": asdict(cfg.surrogate_config()),
-        "filter": asdict(spec) if spec else None,
+        "filter": meta.get("filter"),
         "master_seed": cfg.master_seed,
     })
     return ds
@@ -269,9 +268,9 @@ def cmd_train(cfg: RunConfig, input_path=None, dataset=None) -> rnn.TrainReport:
 
 
 def verdict_from_report(report: rnn.TrainReport, alpha: float = 0.05) -> dict:
-    if report.representative_epoch is None:
-        raise ParameterError("report records no representative epoch")
     epoch, acc = report.representative_epoch, report.representative_accuracy
+    if epoch is None or acc is None:
+        raise ParameterError("no representative epoch or accuracy in report")
     n = report.n_test_items
     if n < 1:
         raise ParameterError("report does not record the test item count")

@@ -457,7 +457,7 @@ def save_realizations(path, rows, meta: dict,
         for r in rows:
             writer.writerow([f"{v:.17g}" for v in r])
     sidecar = {"L": rows.shape[1], "N": rows.shape[0]}
-    for key in ("system", "seed", "mode", "params", "dt"):
+    for key in ("system", "seed", "mode", "params", "dt", "filter"):
         if key in meta:
             sidecar[key] = meta[key]
     if extra_meta:

@@ -9,8 +9,8 @@ import pytest
 
 from surrotest import series, spectral
 from surrotest.cli import build_parser, main, resolve_config
-from surrotest.dataset import save_series
-from surrotest.dynsys import make_realizations
+from surrotest.dataset import load_dataset, save_series, standardize
+from surrotest.dynsys import load_realizations, make_realizations
 
 
 def run_cli(*argv):
@@ -26,6 +26,8 @@ TINY = ["--L", "16", "--N", "6", "--epochs", "3", "--hidden-size", "3",
         "--max-iter", "20"]
 
 STAGES = ("generate", "surrogate", "dataset", "train", "report")
+
+FILTER = ["--filter-cutoff-hz", "20", "--filter-fs-hz", "100"]
 
 
 def count_iaaft_calls(monkeypatch) -> list:
@@ -144,6 +146,7 @@ def test_train_and_report_stages(tmp_path, capsys):
     ("representative_epoch", 2.0, "ParseError"),
     ("seeds", [], "ParseError"),
     ("representative_epoch", None, "ParameterError"),
+    ("representative_accuracy", None, "ParameterError"),
 ])
 def test_report_rejects_bad_sidecar(tmp_path, capsys, key, value, error):
     out = tmp_path / "run"
@@ -160,9 +163,11 @@ def test_report_rejects_bad_sidecar(tmp_path, capsys, key, value, error):
             else "representative epoch") in err
 
 
-@pytest.mark.parametrize("system", ["henon", "ar1"])
-def test_staged_run_matches_pipeline(tmp_path, system):
-    flags = ["--system", system, "--seed", "13"] + TINY
+@pytest.mark.parametrize("system, extra", [
+    ("henon", []), ("ar1", []), ("henon", FILTER),
+], ids=["henon", "ar1", "henon-filtered"])
+def test_staged_run_matches_pipeline(tmp_path, system, extra):
+    flags = ["--system", system, "--seed", "13", *extra] + TINY
     for stage in STAGES:
         assert run_cli(stage, *flags, "--out", tmp_path / "staged") == 0
     assert run_cli("pipeline", *flags, "--out", tmp_path / "piped") == 0
@@ -198,8 +203,27 @@ def test_dataset_recomputes_stale_surrogates(tmp_path, monkeypatch, change):
     assert len(calls) == 6
     fresh = tmp_path / "fresh"
     assert run_cli("pipeline", *base, *change, "--out", fresh) == 0
-    assert (out / "dataset.csv").read_bytes() == \
-        (fresh / "dataset.csv").read_bytes()
+    # The recomputed surrogates are written too, as the surrogate stage
+    # writes them, so no stale surrogates.csv is left beside dataset.csv.
+    for name in ("dataset.csv", "surrogates.csv", "surrogates.meta.json",
+                 "surrogate_report.json"):
+        assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
+def test_filtered_system_makes_each_surrogate_once(tmp_path, monkeypatch):
+    # The filter runs at generate, so the surrogate stage pairs the rows
+    # the dataset holds and the dataset stage reuses its surrogates.
+    calls = count_iaaft_calls(monkeypatch)
+    assert run_cli("pipeline", "--system", "henon", "--L", "32", "--N", "10",
+                   "--epochs", "3", "--hidden-size", "3", "--max-iter", "20",
+                   "--seed", "5", *FILTER, "--out", tmp_path) == 0
+    assert len(calls) == 10
+    surrogates, meta = load_realizations(tmp_path / "surrogates.csv")
+    assert meta["filter"] == {"cutoff_hz": 20.0, "sampling_rate_hz": 100.0,
+                              "order": 4}
+    ds = load_dataset(tmp_path / "dataset.csv")
+    in_dataset = ds.X[ds.y == 0][np.argsort(ds.pair_id[ds.y == 0])]
+    assert np.array_equal(standardize(surrogates), in_dataset)
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +281,9 @@ def test_pipeline_on_user_record(tmp_path):
 
 
 def test_dataset_filter_precedes_surrogates(tmp_path):
-    # Filtering a prebuilt realization CSV must happen before pairing, so
-    # each surrogate still shares its original's value multiset.
+    # generate filters the rows, and dataset, finding no surrogates.csv,
+    # runs the surrogate stage on them: each surrogate still shares its
+    # original's value multiset.
     out = tmp_path / "run"
     base = ["--system", "logistic", "--seed", "12", "--out", out,
             "--filter-cutoff-hz", "2.0", "--filter-fs-hz", "20.0"] + TINY
