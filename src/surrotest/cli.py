@@ -197,12 +197,27 @@ def _read_realizations(source: Path) -> tuple:
     return (*dynsys.load_realizations(source), file_sha256(source))
 
 
+def _check_filter(cfg: RunConfig, meta: dict, source: Path) -> None:
+    """Only ``generate`` filters, so filter settings that differ from the
+    realizations' recorded filter would be silently ignored: refuse them."""
+    spec = cfg.filter_spec()
+    wanted = None if spec is None else asdict(spec)
+    recorded = meta.get("filter")
+    if wanted != recorded:
+        raise ParameterError(
+            f"{source} was generated with filter "
+            f"{json.dumps(recorded, sort_keys=True)}, but this run asks for "
+            f"filter {json.dumps(wanted, sort_keys=True)}; run "
+            f"generate again with the same filter settings")
+
+
 def cmd_surrogate(cfg: RunConfig, input_path=None, realizations=None):
     """The (N, L) surrogate rows, one per realization (from
     ``cmd_generate`` or disk)."""
     outdir = cfg.outdir()
     source = _stage_input(cfg, input_path, "realizations.csv")
     originals, meta, digest = realizations or _read_realizations(source)
+    _check_filter(cfg, meta, source)
     settings = asdict(cfg.surrogate_config())
     results = pair_surrogates(originals, cfg.surrogate_config())
     surrogates = np.array([r.surrogate for r in results])
@@ -236,9 +251,10 @@ def cmd_dataset(cfg: RunConfig, input_path=None, realizations=None,
                 surrogates=None) -> LabeledDataset:
     """The labeled, split dataset.  Run alone it reads the realizations and
     a fresh surrogates.csv, or makes one by running the surrogate stage."""
-    realizations = realizations or _read_realizations(
-        _stage_input(cfg, input_path, "realizations.csv"))
+    source = _stage_input(cfg, input_path, "realizations.csv")
+    realizations = realizations or _read_realizations(source)
     originals, meta, digest = realizations
+    _check_filter(cfg, meta, source)
     if surrogates is None:
         surrogates = _stored_surrogates(cfg, digest)
     if surrogates is None:

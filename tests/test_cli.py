@@ -300,6 +300,43 @@ def test_dataset_filter_precedes_surrogates(tmp_path):
                            atol=1e-12), pid
 
 
+def filter_json(flags: list) -> str:
+    """The filter that ``flags`` ask for, as the CLI's messages print it."""
+    if not flags:
+        return "null"
+    given = dict(zip(flags[::2], flags[1::2]))
+    return json.dumps({"cutoff_hz": float(given["--filter-cutoff-hz"]),
+                       "order": int(given.get("--filter-order", 4)),
+                       "sampling_rate_hz": float(given["--filter-fs-hz"])},
+                      sort_keys=True)
+
+
+@pytest.mark.parametrize("stage", ["surrogate", "dataset"])
+@pytest.mark.parametrize("generated, later", [
+    ([], FILTER),
+    (FILTER, []),
+    (FILTER, ["--filter-cutoff-hz", "10", "--filter-fs-hz", "100"]),
+    (FILTER, [*FILTER, "--filter-order", "2"]),
+], ids=["added", "dropped", "other-cutoff", "other-order"])
+def test_filter_disagreeing_with_realizations_fails(tmp_path, capsys, stage,
+                                                    generated, later):
+    # Only generate filters, so a later stage's filter settings must be the
+    # ones the realizations were made with, or they would be ignored.
+    out = tmp_path / "run"
+    base = ["--system", "logistic", "--L", "16", "--N", "4", "--seed", "1",
+            "--out", out]
+    assert run_cli("generate", *base, *generated) == 0
+    capsys.readouterr()
+    assert run_cli(stage, *base, *later) == 2
+    err = capsys.readouterr().err
+    assert "error[ParameterError]" in err
+    assert f"generated with filter {filter_json(generated)}," in err
+    assert f"asks for filter {filter_json(later)};" in err
+    assert not (out / "surrogates.csv").exists()
+    assert not (out / "dataset.csv").exists()
+    assert run_cli(stage, *base, *generated) == 0
+
+
 def test_pipeline_stage_failure_names_stage(tmp_path, capsys):
     missing = tmp_path / "does-not-exist.txt"
     out = tmp_path / "run"

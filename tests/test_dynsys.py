@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from surrotest.dynsys import (MAP_BURN_IN, NOISE_BURN_IN, FlowParams,
-                              MapParams, NoiseParams, chua_nonlinearity,
+from surrotest import dynsys
+from surrotest.dynsys import (FLOW_BURN_IN, FLOW_DT, MAP_BURN_IN,
+                              NOISE_BURN_IN, FlowParams, MapParams,
+                              NoiseParams, chua_nonlinearity,
                               flow_derivative, load_realizations,
                               make_realizations, rk45_integrate,
                               save_realizations)
 from surrotest.errors import (DivergenceError, LengthError, ParameterError)
-from surrotest.seeding import substream
+from surrotest.seeding import stage_seed, substream
 
 
 def batch(system, L, N, seed, params=None) -> np.ndarray:
@@ -337,13 +339,69 @@ def test_flow_realization_does_not_depend_on_batch_size(system, seed):
     assert np.array_equal(batch(system, 32, 8, seed)[5], x16[5])
 
 
-def test_lorenz_burn_in_lands_on_attractor():
-    # The loose-tolerance burn-in still ends on the butterfly: bounded,
-    # oscillating, and a different trajectory per realization.
-    x = batch("lorenz", 64, 16, seed=0)
-    assert np.all(np.abs(x) < 25.0)
-    assert np.all(x.std(axis=1) > 1.0)
+# x-extent of each attractor and the least row spread to count as
+# oscillating at L64.  Measured on 200 realizations (seed 0, L64): x spans
+# -18.9..18.8 (Lorenz), -9.10..11.43 (Rossler) and -2.26..2.26 (Chua) with
+# the burn-in at rel 1e-3 / abs 1e-6, and -18.5..18.6, -9.10..11.43 and
+# -2.26..2.26 at rel 1e-6 / abs 1e-9.  The smallest row standard deviation
+# was 2.5, 4.0 and 0.13 loose, 1.9, 4.0 and 0.29 tight.
+ATTRACTOR_X = {"lorenz": (-20.0, 20.0, 1.0), "rossler": (-10.0, 12.0, 1.0),
+               "chua": (-2.5, 2.5, 0.1)}
+
+
+@pytest.mark.parametrize("system", ["lorenz", "rossler", "chua"])
+def test_flow_burn_in_lands_on_attractor(system):
+    # The loose-tolerance burn-in still ends on the attractor: bounded by
+    # its extent, oscillating, and a different trajectory per realization.
+    low, high, min_std = ATTRACTOR_X[system]
+    x = batch(system, 64, 16, seed=0)
+    assert np.all((x > low) & (x < high))
+    assert np.all(x.std(axis=1) > min_std)
     assert len({row.tobytes() for row in x}) == 16
+
+
+def ks_statistic(a, b) -> float:
+    """Two-sample Kolmogorov-Smirnov statistic: the largest gap between the
+    empirical distribution functions."""
+    both = np.concatenate([a, b])
+    cdf_a = np.searchsorted(np.sort(a), both, side="right") / a.size
+    cdf_b = np.searchsorted(np.sort(b), both, side="right") / b.size
+    return float(np.abs(cdf_a - cdf_b).max())
+
+
+@pytest.mark.parametrize("system", ["lorenz", "rossler", "chua"])
+def test_loose_burn_in_samples_the_attractor_distribution(system):
+    # Chaos forgets the burn-in's error, so the first sample after the
+    # loose burn-in has the same distribution as after a tight one
+    # (rel 1e-6 / abs 1e-9), integrated here from other initial states.
+    # Two-sample KS at the 1% level, 1.63 * sqrt(2 / N); the seeds are fixed.
+    n = 200
+    loose = batch(system, 8, n, seed=1)[:, 0]
+    f = lambda t, y: flow_derivative(system, y)
+    y0 = dynsys._flow_initial_conditions(system, n, seed=2)
+    _, burn = rk45_integrate(f, y0, t_end=FLOW_BURN_IN,
+                             dt_sample=FLOW_BURN_IN, rel_tol=1e-6,
+                             abs_tol=1e-9)
+    dt = FLOW_DT[system]
+    _, states = rk45_integrate(f, burn[-1], t_end=dt, dt_sample=dt)
+    tight = states[0, :, 0]
+    assert ks_statistic(loose, tight) < 1.63 * np.sqrt(2.0 / n)
+
+
+def test_lorenz_burn_in_rhs_budget(monkeypatch):
+    # The burn-in at the Dormand-Prince pair's standard tolerances costs
+    # 16,064 right-hand sides for the benchmark's Lorenz batch; at
+    # rel 1e-6 / abs 1e-9 it cost 36,998.
+    calls = []
+    real = dynsys.flow_derivative
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dynsys, "flow_derivative", counting)
+    make_realizations("lorenz", 64, 16, seed=stage_seed(0, "generation"))
+    assert len(calls) <= 18_000
 
 
 def test_make_realizations_rejects_bad_arguments():
