@@ -406,8 +406,9 @@ def main(argv=None) -> int:
         cfg = resolve_config(args)
         outdir = cfg.outdir()
         outdir.mkdir(parents=True, exist_ok=True)
-        write_json(outdir / FROZEN_CONFIG, {**asdict(cfg), "out": str(outdir)})
         _DISPATCH[args.command](cfg, args)
+        # Only a command that succeeded leaves its configuration behind.
+        write_json(outdir / FROZEN_CONFIG, {**asdict(cfg), "out": str(outdir)})
     except (SurrotestError, RuntimeError, OSError, ValueError) as exc:
         stage = getattr(exc, "pipeline_stage", None)
         where = f"pipeline failed at stage '{stage}': " if stage else ""

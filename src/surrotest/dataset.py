@@ -9,7 +9,6 @@ original and recognize its surrogate in the test set.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -17,8 +16,8 @@ import numpy as np
 
 from .errors import LengthError, ParameterError, ParseError, SplitError
 from .seeding import derived_seed
-from .series import (as_samples, atomic_open, check_width, meta_path,
-                     parse_cells, read_meta, write_json)
+from .series import (as_samples, atomic_open, parse_cells, read_meta,
+                     read_table, write_table)
 from .spectral import SurrogateConfig, make_surrogate
 
 SPLITS = ("train", "validation", "test")
@@ -261,19 +260,14 @@ def split_dataset(dataset: LabeledDataset, seed: int) -> LabeledDataset:
 
 def save_dataset(path, dataset: LabeledDataset, extra_meta: dict | None = None) -> None:
     """CSV with columns [pair_id, label, split, s_0 .. s_{L-1}] + sidecar."""
-    path = Path(path)
     header = ["pair_id", "label", "split"] + [f"s_{i}" for i in range(dataset.L)]
-    with atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for pid, label, tag, row in zip(dataset.pair_id.tolist(),
-                                        dataset.y.tolist(),
-                                        dataset.split.tolist(), dataset.X):
-            writer.writerow([pid, label, tag] + [f"{v:.17g}" for v in row])
+    rows = ([pid, label, tag, *row] for pid, label, tag, row
+            in zip(dataset.pair_id.tolist(), dataset.y.tolist(),
+                   dataset.split.tolist(), dataset.X))
     meta = {"L": dataset.L, "N": dataset.n_pairs, "seeds": dataset.seeds}
     if extra_meta:
         meta.update(extra_meta)
-    write_json(meta_path(path), meta)
+    write_table(path, rows, meta, header=header)
 
 
 def load_dataset(path) -> LabeledDataset:
@@ -283,29 +277,22 @@ def load_dataset(path) -> LabeledDataset:
     parse, a label other than 0 or 1, or a split tag other than those in
     ``SPLITS`` raises ``ParseError`` with its line number.
     """
-    path = Path(path)
     pair_id, y, split, X = [], [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise LengthError(f"{path} is empty")
-        for row in reader:
-            if not row:
-                continue
-            line = reader.line_num
-            check_width(row, len(header), path, line)
-            pid, label = parse_cells(row[:2], path, line, kind=int)
-            if label not in (LABEL_ORIGINAL, LABEL_SURROGATE):
-                raise ParseError(f"{path}: line {line}: label {label} is "
-                                 "neither 0 nor 1", line=line)
-            if row[2] not in SPLITS:
-                raise ParseError(f"{path}: line {line}: unknown split "
-                                 f"{row[2]!r}", line=line)
-            pair_id.append(pid)
-            y.append(label)
-            split.append(row[2])
-            X.append(parse_cells(row[3:], path, line))
+    rows = read_table(path)
+    if next(rows, None) is None:
+        raise LengthError(f"{path} is empty")
+    for line, row in rows:
+        pid, label = parse_cells(row[:2], path, line, kind=int)
+        if label not in (LABEL_ORIGINAL, LABEL_SURROGATE):
+            raise ParseError(f"{path}: line {line}: label {label} is "
+                             "neither 0 nor 1", line=line)
+        if row[2] not in SPLITS:
+            raise ParseError(f"{path}: line {line}: unknown split "
+                             f"{row[2]!r}", line=line)
+        pair_id.append(pid)
+        y.append(label)
+        split.append(row[2])
+        X.append(parse_cells(row[3:], path, line))
     if not X:
         raise LengthError(f"{path} contains no items")
     return LabeledDataset(X=np.array(X), y=np.array(y),

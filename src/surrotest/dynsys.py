@@ -19,16 +19,15 @@ sampled segment: it only has to land on the attractor.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, asdict
-from pathlib import Path
 
 import numpy as np
 
-from .errors import DivergenceError, LengthError, ParameterError, StiffnessError
+from .errors import (DivergenceError, LengthError, ParameterError, ParseError,
+                     StiffnessError)
 from .seeding import substream
-from .series import (as_samples, atomic_open, check_width, file_sha256,
-                     meta_path, parse_cells, read_meta, write_json)
+from .series import (as_samples, file_sha256, parse_cells, read_meta,
+                     read_table, write_table)
 
 # Default burn-in discarded before sampling: enough to land on the
 # attractor / in the stationary regime.
@@ -452,41 +451,30 @@ def save_realizations(path, rows, meta: dict,
     """Write an (N, L) batch as a headerless CSV plus a .meta.json sidecar
     holding L, N, the provenance keys of ``meta`` and ``extra_meta``;
     return the SHA-256 of the CSV."""
-    path = Path(path)
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2:
         raise LengthError(f"realizations must be one (N, L) array, "
                           f"got shape {rows.shape}")
-    with atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        for r in rows:
-            writer.writerow([f"{v:.17g}" for v in r])
     sidecar = {"L": rows.shape[1], "N": rows.shape[0]}
     for key in ("system", "seed", "mode", "params", "dt", "filter"):
         if key in meta:
             sidecar[key] = meta[key]
     if extra_meta:
         sidecar.update(extra_meta)
-    write_json(meta_path(path), sidecar)
+    write_table(path, rows, sidecar)
     return file_sha256(path)
 
 
 def load_realizations(path) -> tuple:
     """(rows, meta): a realization CSV as an (N, L) array and its sidecar
     ({} without one).  Every row must have the sidecar's L, or without one
-    the first row's length."""
-    path = Path(path)
+    the first row's length, and there must be as many rows as its N."""
     meta = read_meta(path)
-    width = meta.get("L")
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            if not row:
-                continue
-            width = width or len(row)
-            check_width(row, width, path, reader.line_num)
-            rows.append(np.array(parse_cells(row, path, reader.line_num)))
+    rows = [np.array(parse_cells(cells, path, line))
+            for line, cells in read_table(path, meta.get("L"))]
     if not rows:
         raise LengthError(f"{path} contains no realizations")
+    if "N" in meta and len(rows) != meta["N"]:
+        raise ParseError(f"{path}: {len(rows)} realizations, but its "
+                         f"sidecar says N = {meta['N']}")
     return np.array(rows), meta

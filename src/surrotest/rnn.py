@@ -11,19 +11,17 @@ bits are those of a sweep that allocates fresh temporaries at each step.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from . import stats
 from .errors import (LengthError, NumericError, ParameterError, ParseError,
                      TrainingError)
-from .series import (atomic_open, check_width, meta_path, parse_cells,
-                     read_json, read_meta, write_json)
+from .series import (atomic_open, meta_path, parse_cells, read_json,
+                     read_meta, read_table, write_table)
 
 PARAM_NAMES = ("w_in", "w_rec", "b_h", "w_out", "b_out")
 
@@ -461,14 +459,8 @@ _REPORT_META_TYPES = {
 
 def save_report(path, report: TrainReport, extra_meta: dict | None = None) -> None:
     """Learning curves as CSV (1-based epoch column) + sidecar metadata."""
-    path = Path(path)
     curves = zip(report.train_loss, report.val_loss, report.test_acc,
                  report.train_loss_s5, report.val_loss_s5, report.test_acc_s5)
-    with atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REPORT_COLUMNS)
-        for epoch, values in enumerate(curves, start=1):
-            writer.writerow([epoch] + [f"{v:.17g}" for v in values])
     meta = {
         "n_test_items": report.n_test_items,
         "seeds": report.seeds,
@@ -478,28 +470,25 @@ def save_report(path, report: TrainReport, extra_meta: dict | None = None) -> No
     }
     if extra_meta:
         meta.update(extra_meta)
-    write_json(meta_path(path), meta)
+    write_table(path, ([epoch, *values] for epoch, values
+                       in enumerate(curves, start=1)),
+                meta, header=REPORT_COLUMNS)
 
 
 def load_report(path) -> TrainReport:
     """The report saved by ``save_report``; a malformed CSV row or a
     sidecar field of the wrong type raises ``ParseError`` naming the file."""
-    path = Path(path)
     report = TrainReport()
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != REPORT_COLUMNS:
-            raise ParseError(f"{path} is not a training report", line=1)
-        curves = (report.train_loss, report.val_loss, report.test_acc,
-                  report.train_loss_s5, report.val_loss_s5, report.test_acc_s5)
-        for row in reader:
-            if not row:
-                continue
-            check_width(row, len(REPORT_COLUMNS), path, reader.line_num)
-            for curve, v in zip(curves, parse_cells(row[1:], path,
-                                                     reader.line_num)):
-                curve.append(v)
+    rows = read_table(path)
+    header = next(rows, None)
+    if header is None or tuple(header[1]) != REPORT_COLUMNS:
+        raise ParseError(f"{path} is not a training report", line=1)
+    curves = (report.train_loss, report.val_loss, report.test_acc,
+              report.train_loss_s5, report.val_loss_s5, report.test_acc_s5)
+    for line, row in rows:
+        parse_cells(row[:1], path, line, kind=int)
+        for curve, v in zip(curves, parse_cells(row[1:], path, line)):
+            curve.append(v)
     meta = read_meta(path)
     for key, allowed in _REPORT_META_TYPES.items():
         value = meta.get(key)

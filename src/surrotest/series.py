@@ -1,13 +1,19 @@
-"""Helpers shared by all modules: sample coercion, CSV cells, JSON
-sidecars and atomic writes.
+"""Helpers shared by all modules: sample coercion, the table and sidecar
+format, and atomic writes.
 
 A series is a 1-D float array and a batch of N realizations of length L
 is one (N, L) array; provenance travels beside a batch as one dict, which
 becomes the batch's JSON sidecar.
+
+Only this module knows the table format, which ``write_table`` and
+``read_table`` use for every CSV artifact: the ``csv`` default dialect
+(CRLF ends), floats at 17 significant digits, blank rows skipped, rows as
+wide as the first, and a ``<stem>.meta.json`` sidecar.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -43,13 +49,6 @@ def parse_cells(tokens, path, line: int, kind=float) -> list:
             raise ParseError(f"{path}: line {line}: cannot parse {tok.strip()!r} "
                              "as a finite number", line=line) from None
     return values
-
-
-def check_width(row, width: int, path, line: int) -> None:
-    """Raise ``ParseError`` for a CSV row that does not have ``width`` cells."""
-    if len(row) != width:
-        raise ParseError(f"{path}: line {line}: expected {width} fields, "
-                         f"got {len(row)}", line=line)
 
 
 def meta_path(path) -> Path:
@@ -95,6 +94,37 @@ def atomic_open(path, newline=None):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_table(path, rows, meta: dict, header=None) -> None:
+    """Write ``rows`` (an iterable of rows, formatted one at a time) as a
+    CSV with an optional header row, then ``meta`` as its sidecar.  Float
+    cells are written at 17 significant digits, other cells as they are."""
+    with atomic_open(path, newline="") as fh:
+        writer = csv.writer(fh)
+        if header is not None:
+            writer.writerow(header)
+        for row in rows:
+            writer.writerow([f"{v:.17g}" if isinstance(v, float) else v
+                             for v in row])
+    write_json(meta_path(path), meta)
+
+
+def read_table(path, width: int | None = None):
+    """Yield ``(line, cells)`` for each nonempty CSV row, with its 1-based
+    line number.  A row that is not ``width`` cells wide (without a width:
+    as wide as the first row) raises ``ParseError`` naming the line."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        for cells in reader:
+            if not cells:
+                continue
+            width = width or len(cells)
+            if len(cells) != width:
+                raise ParseError(f"{path}: line {reader.line_num}: expected "
+                                 f"{width} fields, got {len(cells)}",
+                                 line=reader.line_num)
+            yield reader.line_num, cells
 
 
 def file_sha256(path) -> str:

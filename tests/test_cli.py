@@ -326,6 +326,7 @@ def test_filter_disagreeing_with_realizations_fails(tmp_path, capsys, stage,
     base = ["--system", "logistic", "--L", "16", "--N", "4", "--seed", "1",
             "--out", out]
     assert run_cli("generate", *base, *generated) == 0
+    frozen = (out / "config.frozen.json").read_bytes()
     capsys.readouterr()
     assert run_cli(stage, *base, *later) == 2
     err = capsys.readouterr().err
@@ -334,6 +335,8 @@ def test_filter_disagreeing_with_realizations_fails(tmp_path, capsys, stage,
     assert f"asks for filter {filter_json(later)};" in err
     assert not (out / "surrogates.csv").exists()
     assert not (out / "dataset.csv").exists()
+    # The frozen config still describes the last command that succeeded.
+    assert (out / "config.frozen.json").read_bytes() == frozen
     assert run_cli(stage, *base, *generated) == 0
 
 
@@ -509,6 +512,22 @@ def test_sidecar_not_object_is_parse_error(tmp_path, capsys, artifact,
     assert run_cli(reader, "--system", "logistic", "--out", out, *TINY) == 2
     err = capsys.readouterr().err
     assert "error[ParseError]" in err and str(sidecar) in err
+
+
+def test_realizations_shorter_than_sidecar_n_is_parse_error(tmp_path,
+                                                             capsys):
+    out = tmp_path / "run"
+    base = ["--system", "logistic", "--L", "16", "--seed", "1", "--out", out]
+    assert run_cli("generate", *base, "--N", "6") == 0
+    path = out / "realizations.csv"
+    lines = path.read_bytes().split(b"\r\n")
+    path.write_bytes(b"\r\n".join(lines[:2] + lines[3:]))
+    assert run_cli("surrogate", *base) == 2
+    err = capsys.readouterr().err
+    assert "error[ParseError]" in err and str(path) in err
+    assert "5 realizations" in err and "N = 6" in err
+    assert not (out / "surrogates.csv").exists()
+    assert not (out / "surrogates.meta.json").exists()
 
 
 def readme_commands() -> list:

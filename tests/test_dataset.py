@@ -12,6 +12,7 @@ from surrotest.dynsys import (load_realizations, make_realizations,
                               save_realizations)
 from surrotest.errors import (LengthError, ParameterError, ParseError,
                               SplitError)
+from surrotest.rnn import TrainReport, load_report, save_report
 from surrotest.spectral import SurrogateConfig
 
 
@@ -335,24 +336,29 @@ def test_dataset_round_trip(tmp_path, small_dataset):
 
 @pytest.fixture(scope="module")
 def saved_csvs(tmp_path_factory):
-    """A realization CSV and a dataset CSV, each with its sidecar."""
+    """A realization CSV, a dataset CSV and a training report, each with
+    its sidecar."""
     root = tmp_path_factory.mktemp("saved")
     originals, meta = make_realizations("logistic", 16, 6, seed=40)
     save_realizations(root / "realizations.csv", originals, meta)
     ds = split_dataset(build_dataset(originals, SurrogateConfig(seed=41)),
                        seed=42)
     save_dataset(root / "dataset.csv", ds)
+    curves = np.random.default_rng(43).uniform(0, 1, (6, 12)).tolist()
+    save_report(root / "train_report.csv", TrainReport(*curves))
     return root
 
 
 # loader, header lines
 LOADERS = {"realizations.csv": (load_realizations, 0),
-           "dataset.csv": (load_dataset, 1)}
+           "dataset.csv": (load_dataset, 1),
+           "train_report.csv": (load_report, 1)}
 
 
 # Every sampled token fails in every column.  A label of 7 parses as an
 # integer, so it comes in as an example that puts it in the label column;
-# the other example puts an unknown tag in the split column.
+# the next example puts an unknown tag in the split column, and the last
+# one a bad cell in the report's epoch column.
 @settings(max_examples=60, deadline=None)
 @given(name=st.sampled_from(sorted(LOADERS)), row=st.integers(0, 100),
        cell=st.integers(0, 100), truncate=st.booleans(),
@@ -360,6 +366,7 @@ LOADERS = {"realizations.csv": (load_realizations, 0),
                               "nan", "inf", "1e400"]))
 @example(name="dataset.csv", row=0, cell=1, truncate=False, token="7")
 @example(name="dataset.csv", row=3, cell=2, truncate=False, token="tset")
+@example(name="train_report.csv", row=1, cell=0, truncate=False, token="x")
 def test_loaders_name_line_of_corrupt_row(saved_csvs, name, row, cell,
                                           truncate, token):
     loader, header = LOADERS[name]

@@ -1,0 +1,126 @@
+import numpy as np
+import pytest
+
+from surrotest import series
+from surrotest.dataset import LabeledDataset, load_dataset, save_dataset
+from surrotest.dynsys import load_realizations, save_realizations
+from surrotest.errors import ParseError
+from surrotest.rnn import TrainReport, load_report, save_report
+
+# Values whose .17g form differs from repr, a tiny negative exponent,
+# and a whole float that must print without a trailing ".0".
+V = [0.1, 1 / 3, -2.5e-300, 1.0]
+
+
+# ---------------------------------------------------------------------------
+# The on-disk format, byte for byte
+# ---------------------------------------------------------------------------
+
+def test_realization_table_bytes(tmp_path):
+    rows = np.array([V + [-v for v in V],
+                     [2 * v for v in V] + [1e20, 0.0, -0.0, 123456789.0]])
+    path = tmp_path / "realizations.csv"
+    save_realizations(path, rows, {"system": "logistic", "seed": 3,
+                                   "unused": 1},
+                      extra_meta={"master_seed": 0})
+    assert path.read_bytes() == (
+        b"0.10000000000000001,0.33333333333333331,-2.5e-300,1,"
+        b"-0.10000000000000001,-0.33333333333333331,2.5e-300,-1\r\n"
+        b"0.20000000000000001,0.66666666666666663,-5e-300,2,"
+        b"1e+20,0,-0,123456789\r\n")
+    assert (tmp_path / "realizations.meta.json").read_bytes() == (
+        b'{\n  "L": 8,\n  "N": 2,\n  "master_seed": 0,\n  "seed": 3,\n'
+        b'  "system": "logistic"\n}\n')
+    loaded, _ = load_realizations(path)
+    assert np.array_equal(loaded, rows)
+
+
+def test_dataset_table_bytes(tmp_path):
+    ds = LabeledDataset(
+        X=np.array([V, V[::-1], [v / 2 for v in V], [-1.0, 2.0, -3.0, 4.0],
+                    [0.0, 1.5, 2.5, 1e-5], V]),
+        y=np.array([1, 0, 1, 0, 1, 0]), pair_id=np.array([0, 0, 1, 1, 2, 2]),
+        split=np.array(["train", "train", "validation", "validation",
+                        "test", "test"]),
+        seeds={"split": 5})
+    path = tmp_path / "dataset.csv"
+    save_dataset(path, ds, extra_meta={"master_seed": 0})
+    assert path.read_bytes() == (
+        b"pair_id,label,split,s_0,s_1,s_2,s_3\r\n"
+        b"0,1,train,0.10000000000000001,0.33333333333333331,-2.5e-300,1\r\n"
+        b"0,0,train,1,-2.5e-300,0.33333333333333331,0.10000000000000001\r\n"
+        b"1,1,validation,0.050000000000000003,0.16666666666666666,"
+        b"-1.25e-300,0.5\r\n"
+        b"1,0,validation,-1,2,-3,4\r\n"
+        b"2,1,test,0,1.5,2.5,1.0000000000000001e-05\r\n"
+        b"2,0,test,0.10000000000000001,0.33333333333333331,-2.5e-300,1\r\n")
+    assert (tmp_path / "dataset.meta.json").read_bytes() == (
+        b'{\n  "L": 4,\n  "N": 3,\n  "master_seed": 0,\n  "seeds": {\n'
+        b'    "split": 5\n  }\n}\n')
+    loaded = load_dataset(path)
+    assert np.array_equal(loaded.X, ds.X)
+    assert loaded.split.tolist() == ds.split.tolist()
+
+
+def test_report_table_bytes(tmp_path):
+    report = TrainReport(
+        train_loss=[0.7, 1 / 3], val_loss=[0.69, 0.5], test_acc=[0.5, 1.0],
+        train_loss_s5=[0.7, 0.5166666666666666], val_loss_s5=[0.69, 0.595],
+        test_acc_s5=[0.5, 0.75], representative_epoch=2,
+        representative_accuracy=0.75, n_test_items=2, seeds={"init": 1},
+        hyperparams={"lr": 0.01})
+    path = tmp_path / "train_report.csv"
+    save_report(path, report)
+    assert path.read_bytes() == (
+        b"epoch,train_loss,val_loss,test_acc,train_loss_s5,val_loss_s5,"
+        b"test_acc_s5\r\n"
+        b"1,0.69999999999999996,0.68999999999999995,0.5,0.69999999999999996,"
+        b"0.68999999999999995,0.5\r\n"
+        b"2,0.33333333333333331,0.5,1,0.51666666666666661,"
+        b"0.59499999999999997,0.75\r\n")
+    assert (tmp_path / "train_report.meta.json").read_bytes() == (
+        b'{\n  "hyperparams": {\n    "lr": 0.01\n  },\n  "n_test_items": 2,\n'
+        b'  "representative_accuracy": 0.75,\n  "representative_epoch": 2,\n'
+        b'  "seeds": {\n    "init": 1\n  }\n}\n')
+    assert load_report(path) == report
+
+
+# ---------------------------------------------------------------------------
+# write_table / read_table
+# ---------------------------------------------------------------------------
+
+def test_write_table_formats_floats_only(tmp_path):
+    path = tmp_path / "t.csv"
+    rows = ([i, "a,b", np.float64(v)] for i, v in enumerate(V))
+    series.write_table(path, rows, {"k": 1}, header=["i", "tag", "v"])
+    assert path.read_bytes() == (
+        b'i,tag,v\r\n0,"a,b",0.10000000000000001\r\n'
+        b'1,"a,b",0.33333333333333331\r\n2,"a,b",-2.5e-300\r\n3,"a,b",1\r\n')
+    assert (tmp_path / "t.meta.json").read_text() == '{\n  "k": 1\n}\n'
+    assert list(series.read_table(path)) == [
+        (1, ["i", "tag", "v"]), (2, ["0", "a,b", "0.10000000000000001"]),
+        (3, ["1", "a,b", "0.33333333333333331"]),
+        (4, ["2", "a,b", "-2.5e-300"]), (5, ["3", "a,b", "1"])]
+
+
+def test_read_table_skips_blank_rows_and_counts_lines(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"\r\n1,2\r\n\r\n3,4\r\n")
+    assert list(series.read_table(path)) == [(2, ["1", "2"]),
+                                             (4, ["3", "4"])]
+
+
+@pytest.mark.parametrize("width, line, expected, got", [
+    (None, 3, 2, 3),   # the first row sets the width
+    (3, 1, 3, 2),
+])
+def test_read_table_names_line_of_ragged_row(tmp_path, width, line,
+                                             expected, got):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"1,2\r\n\r\n3,4,5\r\n")
+    with pytest.raises(ParseError) as info:
+        list(series.read_table(path, width))
+    assert info.value.line == line
+    assert str(info.value) == (f"{path}: line {line}: expected {expected} "
+                               f"fields, got {got}")
+
