@@ -275,9 +275,13 @@ def load_dataset(path) -> LabeledDataset:
 
     A row that does not have the header's width, a cell that does not
     parse, a label other than 0 or 1, or a split tag other than those in
-    ``SPLITS`` raises ``ParseError`` with its line number.
+    ``SPLITS`` raises ``ParseError`` with its line number.  A pair that is
+    not one original and one surrogate, or an item count other than twice
+    the sidecar's ``N`` (pairs), raises ``ParseError`` naming the file.
     """
+    meta = read_meta(path)
     pair_id, y, split, X = [], [], [], []
+    members = {}
     rows = read_table(path)
     if next(rows, None) is None:
         raise LengthError(f"{path} is empty")
@@ -293,8 +297,17 @@ def load_dataset(path) -> LabeledDataset:
         y.append(label)
         split.append(row[2])
         X.append(parse_cells(row[3:], path, line))
+        members.setdefault(pid, []).append(label)
     if not X:
         raise LengthError(f"{path} contains no items")
+    if "N" in meta and len(X) != 2 * meta["N"]:
+        raise ParseError(f"{path}: {len(X)} items, but its sidecar says "
+                         f"N = {meta['N']} pairs")
+    one_each = sorted([LABEL_ORIGINAL, LABEL_SURROGATE])
+    for pid, labels in members.items():
+        if sorted(labels) != one_each:
+            raise ParseError(f"{path}: pair {pid} is not one original and "
+                             f"one surrogate (labels {labels})")
     return LabeledDataset(X=np.array(X), y=np.array(y),
                           pair_id=np.array(pair_id), split=np.array(split),
-                          seeds=read_meta(path).get("seeds", {}))
+                          seeds=meta.get("seeds", {}))

@@ -12,9 +12,9 @@ which ``save_realizations`` writes as the batch's sidecar.  Generation is a
 deterministic function of (parameters, seed): each realization draws from
 its own RNG stream derived from the batch seed (see ``seeding``).  Flow
 batches are integrated together, but every realization has its own
-step-size control, so realization i of a batch has the same samples
-whatever N is.  A flow's burn-in runs at looser tolerances than its
-sampled segment: it only has to land on the attractor.
+step-size control and its own sample grid, so realization i of a batch
+has the same samples whatever N is.  A flow's burn-in runs at looser
+tolerances than its sampled segment: it only has to land on the attractor.
 """
 
 from __future__ import annotations
@@ -87,6 +87,11 @@ class FlowParams:
     chua_beta: float = 28.0
     chua_m0: float = -8.0 / 7.0
     chua_m1: float = -5.0 / 7.0
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not np.isfinite(value):
+                raise ParameterError(f"{name} must be finite, got {value}")
 
 
 @dataclass
@@ -201,12 +206,14 @@ def rk45_integrate(f, y0, t_end: float, dt_sample: float,
     to sample boundaries, so samples carry no interpolation error).
 
     The last axis of ``y0`` is the state; every leading index is one
-    independent realization, a row.  Each row has its own time, step size
-    and accept/reject decision, controlled by the RMS over the state axis
-    of its scaled error estimate.  The rows step together until every one
-    has reached the next sample time; a row already there takes no step.
-    A row's samples therefore depend on its own initial state only, not on
-    the other rows, and a 1-D ``y0`` is a single row.
+    independent realization, a row.  Each row has its own time, step size,
+    accept/reject decision and place on the sample grid; the step control
+    uses the RMS over the state axis of the row's scaled error estimate.
+    A row that reaches a sample time records its state and heads for the
+    next one at once, and a row that has taken every sample rides along
+    with a zero step until the last row is done.  A row's samples
+    therefore depend on its own initial state only, not on the other
+    rows, and a 1-D ``y0`` is a single row.
 
     Parameters
     ----------
@@ -214,7 +221,8 @@ def rk45_integrate(f, y0, t_end: float, dt_sample: float,
         Right-hand side ``f(t, y) -> dy/dt``.  ``y`` has the shape of
         ``y0`` (scalars are promoted to shape-(1,) arrays) and ``t`` the
         shape ``y0.shape[:-1] + (1,)``: one time per row, broadcasting
-        against ``y``.
+        against ``y``.  Both are buffers that the next stage overwrites,
+        so ``f`` must not keep them.
     y0 : array_like
         Initial state: (3,) for one flow, (N, 3) for N realizations.
 
@@ -241,52 +249,79 @@ def rk45_integrate(f, y0, t_end: float, dt_sample: float,
     h_floor = 1e-12 * span
 
     states = np.empty((n_samples,) + shape)
+    samples = states.reshape((n_samples,) + y.shape)  # (sample, row, state)
 
-    # Stages k0..k6 in one array, seen by f in the shape of y0.  Coefficients
+    # Stages k0..k6 in one array, seen by f in the shape of y0, and the
+    # stage times and states in buffers f sees the same way.  Coefficients
     # broadcast over rows and state and the products are summed in stage
     # order; a matrix product may reorder that sum and change the rounding
     # of every sample.
     K = np.empty((7,) + y.shape)
     K_f = K.reshape((7,) + shape)
-    A = _DP_A[:, :, None, None]
-    E = _DP_E[:, None, None]
     t_shape = lead + (1,)
+    T = np.empty((7, rows))
+    T_f = T.reshape((7,) + t_shape)
+    y_stage = np.empty_like(y)
+    y_stage_f = y_stage.reshape(shape)
+    stages = [(_DP_A[s, :s, None, None], K[:s], T_f[s], K_f[s])
+              for s in range(1, 7)]
+    C = _DP_C[:, None]
+    E = _DP_E[:, None, None]
     t = np.full(rows, float(t0))
     h = np.full(rows, min(dt_sample, span) * 0.01)
+    # Each row walks the sample grid on its own: ``taken`` counts its
+    # samples, and ``t_target`` is its next sample time, -inf once it has
+    # taken all.  A time, not a count, marks a finished row because numpy's
+    # integer comparison loops add 64 KB of code pages to peak RSS.
+    taken = np.zeros(rows, dtype=np.intp)
+    targets = np.append(sample_times, -np.inf)
+    t_target = targets[taken]
     K_f[0] = f(t.reshape(t_shape), y.reshape(shape))
-    for i_sample, t_target in enumerate(sample_times):
-        while True:
-            rest = t_target - t
-            active = rest > 0.0
+    while True:
+        rest = t_target - t
+        active = rest > 0.0
+        if not active.all() or not rows:  # all() holds for no rows too
+            # A row at its sample time (or past it, by rounding) takes the
+            # sample and heads for the next; a finished row stays done.
+            arrived = ~active & (rest > -np.inf)
+            if arrived.any():
+                samples[taken[arrived], arrived] = y[arrived]
+                taken += arrived
+                t_target = targets[taken]
+                continue
             if not active.any():
-                break
-            np.minimum(h, rest, out=h, where=active)
-            stalled = active & (h < h_floor)
-            if stalled.any():
-                r = int(np.argmax(stalled))
-                raise StiffnessError(
-                    f"{_row_name(r, lead)}: step size underflow ({h[r]:.3e}) "
-                    f"at t={t[r]:.6g}; the problem looks stiff"
-                )
-            step = np.where(active, h, 0.0)  # rows at the target stay put
-            h_col = step[:, None]
-            t_stage = (t + _DP_C[:, None] * step).reshape((7,) + t_shape)
-            for s in range(1, 7):
-                y_new = y + h_col * (A[s, :s] * K[:s]).sum(axis=0)
-                K_f[s] = f(t_stage[s], y_new.reshape(shape))
-            # y_new now holds the stage-6 state: the fifth-order step.
-            # A non-finite row is a wild trial step, not necessarily a lost
-            # trajectory: it is retried with a smaller step.
-            finite = np.isfinite(y_new).all(axis=-1)
-            with np.errstate(invalid="ignore"):  # non-finite rows
-                err = h_col * (E * K).sum(axis=0)
-                scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-                norm = np.sqrt(((err / scale) ** 2).mean(axis=-1))
-            accept = active & finite & (norm <= 1.0)
+                return sample_times, states
+        np.minimum(h, rest, out=h, where=active)
+        stalled = active & (h < h_floor)
+        if stalled.any():
+            r = int(np.argmax(stalled))
+            raise StiffnessError(
+                f"{_row_name(r, lead)}: step size underflow ({h[r]:.3e}) "
+                f"at t={t[r]:.6g}; the problem looks stiff"
+            )
+        step = np.where(active, h, 0.0)  # rows that are done stay put
+        h_col = step[:, None]
+        np.add(t, np.multiply(C, step, out=T), out=T)
+        for a, k_prev, t_s, k_s in stages:
+            np.add(y, h_col * np.add.reduce(a * k_prev), out=y_stage)
+            k_s[...] = f(t_s, y_stage_f)
+        # y_stage now holds the stage-6 state: the fifth-order step.
+        # A non-finite row is a wild trial step, not necessarily a lost
+        # trajectory: it is retried with a smaller step.
+        finite = np.logical_and.reduce(np.isfinite(y_stage), axis=-1)
+        with np.errstate(invalid="ignore"):  # non-finite rows
+            err = h_col * np.add.reduce(E * K)
+            scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_stage))
+            norm = np.sqrt(np.add.reduce((err / scale) ** 2, axis=-1)
+                           / y.shape[-1])
+        accept = active & finite & (norm <= 1.0)
 
-            t = np.where(accept, np.where(step >= rest, t_target, t + step), t)
-            np.copyto(y, y_new, where=accept[:, None])
-            np.copyto(K[0], K[6], where=accept[:, None])  # FSAL
+        np.add(t, step, out=t, where=accept)
+        np.copyto(t, t_target, where=accept & (step >= rest))
+        accept_col = accept[:, None]
+        np.copyto(y, y_stage, where=accept_col)
+        np.copyto(K[0], K[6], where=accept_col)  # FSAL
+        if np.abs(y).max() > ESCAPE_STATE_LIMIT:
             escaped = accept & (np.abs(y).max(axis=-1) > ESCAPE_STATE_LIMIT)
             if escaped.any():
                 r = int(np.argmax(escaped))
@@ -294,10 +329,8 @@ def rk45_integrate(f, y0, t_end: float, dt_sample: float,
                     f"{_row_name(r, lead)} diverged near t={t[r]:.6g}",
                     time=float(t[r])
                 )
-            factor = np.where(finite, _step_factors(norm), _MIN_FACTOR)
-            h *= np.where(active, factor, 1.0)
-        states[i_sample] = y.reshape(shape)
-    return sample_times, states
+        factor = np.where(finite, _step_factors(norm), _MIN_FACTOR)
+        np.multiply(h, factor, out=h, where=active)
 
 
 # Reference attractor points used to seed independent initial conditions;

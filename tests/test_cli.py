@@ -567,3 +567,30 @@ def test_output_root_env_var(tmp_path, monkeypatch):
     runs = list((tmp_path / "root").iterdir())
     assert len(runs) == 1
     assert (runs[0] / "realizations.csv").exists()
+
+
+def _relabel_pair_0_surrogate(lines):
+    # lines: header, pair 0's original, pair 0's surrogate, ...
+    assert lines[2].startswith(b"0,0,")
+    return lines[:2] + [b"0,1," + lines[2][4:]] + lines[3:]
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda lines: lines[:9] + lines[-1:],  # header, 8 of 12 items, ""
+     "8 items, but its sidecar says N = 6 pairs"),
+    (_relabel_pair_0_surrogate,
+     "pair 0 is not one original and one surrogate"),
+])
+def test_dataset_that_breaks_its_pairs_is_parse_error(tmp_path, capsys,
+                                                      edit, message):
+    out = tmp_path / "run"
+    base = ["--system", "logistic", "--L", "16", "--N", "6", "--seed", "1",
+            "--out", out]
+    assert run_cli("generate", *base) == 0
+    assert run_cli("dataset", *base) == 0
+    path = out / "dataset.csv"
+    path.write_bytes(b"\r\n".join(edit(path.read_bytes().split(b"\r\n"))))
+    assert run_cli("train", *base, "--epochs", "1", "--hidden-size", "3") == 2
+    err = capsys.readouterr().err
+    assert "error[ParseError]" in err and str(path) in err and message in err
+    assert not (out / "train_report.csv").exists()

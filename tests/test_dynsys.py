@@ -106,6 +106,14 @@ def test_lorenz_fixed_point():
     assert np.max(np.abs(d)) < 1e-12
 
 
+@pytest.mark.parametrize("field,value", [("lorenz_sigma", float("nan")),
+                                         ("lorenz_rho", float("inf")),
+                                         ("chua_m1", -float("inf"))])
+def test_flow_params_reject_non_finite_coefficients(field, value):
+    with pytest.raises(ParameterError, match=field):
+        make_realizations("lorenz", 16, 2, params=FlowParams(**{field: value}))
+
+
 def test_flow_derivative_unknown_system():
     with pytest.raises(ParameterError):
         flow_derivative("duffing", [0.0, 0.0, 0.0])
@@ -223,6 +231,45 @@ def test_rk45_rows_step_independently():
         alone = rk45_integrate(lambda t, y: rate * y, np.ones(1),
                                t_end=2.0, dt_sample=0.25)[1]
         assert np.array_equal(together[:, i], alone)
+
+
+def test_rk45_rows_walk_their_own_sample_grids():
+    # No row waits at a sample time for the others: a batch takes as many
+    # loop trips as its slowest row takes alone, six RHS calls each.
+    rates = np.array([-1.0, 3.0, -40.0])
+
+    def count_calls(rate_column, y0):
+        calls = []
+
+        def f(t, y):
+            calls.append(1)
+            return rate_column * y
+
+        rk45_integrate(f, y0, t_end=2.0, dt_sample=0.25)
+        return len(calls)
+
+    together = count_calls(rates[:, None], np.ones((3, 1)))
+    alone = [count_calls(rate, np.ones(1)) for rate in rates]
+    assert together == max(alone) == 1321
+
+
+def test_rk45_empty_batch_has_empty_samples():
+    times, states = rk45_integrate(lambda t, y: -y, np.zeros((0, 3)),
+                                   t_end=1.0, dt_sample=0.25)
+    assert times.tolist() == [0.25, 0.5, 0.75, 1.0]
+    assert states.shape == (4, 0, 3)
+
+
+def test_rk45_sample_times_that_round_to_the_start():
+    # Below the spacing of floats near t0, the first sample times round to
+    # t0 itself: each row takes them as its initial state, then steps on.
+    times, states = rk45_integrate(lambda t, y: -y, np.ones((2, 1)),
+                                   t_end=1.0 + 4.4e-16, dt_sample=1e-17,
+                                   t0=1.0)
+    at_start = times == 1.0
+    assert 0 < at_start.sum() < len(times)
+    assert (states[at_start] == 1.0).all()
+    assert (np.diff(states[:, :, 0], axis=0) <= 0.0).all()
 
 
 def test_rk45_finite_time_blowup_underflows():
@@ -389,9 +436,9 @@ def test_loose_burn_in_samples_the_attractor_distribution(system):
 
 
 def test_lorenz_burn_in_rhs_budget(monkeypatch):
-    # The burn-in at the Dormand-Prince pair's standard tolerances costs
-    # 16,064 right-hand sides for the benchmark's Lorenz batch; at
-    # rel 1e-6 / abs 1e-9 it cost 36,998.
+    # The benchmark's Lorenz batch costs exactly 14,156 right-hand sides:
+    # the burn-in runs at the Dormand-Prince pair's standard tolerances,
+    # and no row waits at a sample time for the others.
     calls = []
     real = dynsys.flow_derivative
 
@@ -401,7 +448,7 @@ def test_lorenz_burn_in_rhs_budget(monkeypatch):
 
     monkeypatch.setattr(dynsys, "flow_derivative", counting)
     make_realizations("lorenz", 64, 16, seed=stage_seed(0, "generation"))
-    assert len(calls) <= 18_000
+    assert len(calls) == 14_156
 
 
 def test_make_realizations_rejects_bad_arguments():
