@@ -291,7 +291,7 @@ def verdict_from_report(report: rnn.TrainReport, alpha: float = 0.05) -> dict:
     if n < 1:
         raise ParameterError("report does not record the test item count")
     successes = int(np.floor(acc * n + 0.5))
-    result = stats.binomial_test(successes, n, p0=0.5, alpha=alpha)
+    result = stats.binomial_test(successes, n, alpha=alpha)
     return {
         "representative_epoch": epoch,
         "representative_accuracy": acc,

@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import LengthError, ParameterError, ParseError, SplitError
 from .seeding import derived_seed
-from .series import (as_samples, atomic_open, parse_cells, read_meta,
-                     read_table, write_table)
+from .series import (as_samples, parse_cells, read_meta, read_table,
+                     write_table)
 from .spectral import SurrogateConfig, make_surrogate
 
 SPLITS = ("train", "validation", "test")
@@ -51,15 +51,6 @@ def load_series(path) -> np.ndarray:
     if not values:
         raise LengthError(f"{path} contains no samples")
     return np.array(values)
-
-
-def save_series(path, series) -> None:
-    """Write a record, one sample per line, with 17 significant digits
-    (lossless round-trip)."""
-    samples = as_samples(series)
-    with atomic_open(path) as fh:
-        for v in samples:
-            fh.write(f"{v:.17g}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -188,15 +179,14 @@ def pair_surrogates(originals, config: SurrogateConfig) -> list:
 
 
 def build_dataset(originals, config: SurrogateConfig,
-                  surrogates=None) -> LabeledDataset:
-    """Pair every row of the (N, L) ``originals`` with its surrogate and
-    standardize both.
+                  surrogates) -> LabeledDataset:
+    """Pair every row of the (N, L) ``originals`` with its row of the
+    (N, L) ``surrogates``, made under ``config`` (by ``pair_surrogates``
+    in the surrogate stage), and standardize both.
 
-    ``surrogates`` may carry the precomputed (N, L) surrogate rows (e.g.
-    from the surrogate pipeline stage); otherwise they are generated here
-    with per-pair seeds derived from ``config.seed``.  Standardization
-    happens after surrogate generation, so it cannot disturb the spectral
-    and distribution constraints the surrogates encode.
+    Standardization happens after surrogate generation, so it cannot
+    disturb the spectral and distribution constraints the surrogates
+    encode.
     """
     try:
         originals = np.asarray(originals, dtype=float)
@@ -205,9 +195,7 @@ def build_dataset(originals, config: SurrogateConfig,
     if originals.ndim != 2 or originals.shape[0] < 1:
         raise LengthError("originals must be one nonempty (N, L) block, "
                           f"got shape {originals.shape}")
-    if surrogates is None:
-        surrogates = [r.surrogate for r in pair_surrogates(originals, config)]
-    elif np.shape(surrogates) != originals.shape:
+    if np.shape(surrogates) != originals.shape:
         raise LengthError("surrogate rows do not match the originals")
 
     n, L = originals.shape
@@ -275,13 +263,14 @@ def load_dataset(path) -> LabeledDataset:
 
     A row that does not have the header's width, a cell that does not
     parse, a label other than 0 or 1, or a split tag other than those in
-    ``SPLITS`` raises ``ParseError`` with its line number.  A pair that is
-    not one original and one surrogate, or an item count other than twice
-    the sidecar's ``N`` (pairs), raises ``ParseError`` naming the file.
+    ``SPLITS`` raises ``ParseError`` with its line number, and so does an
+    item in another split than its pair's first item.  A pair that is not
+    one original and one surrogate, or an item count other than twice the
+    sidecar's ``N`` (pairs), raises ``ParseError`` naming the file.
     """
     meta = read_meta(path)
     pair_id, y, split, X = [], [], [], []
-    members = {}
+    members, pair_split = {}, {}
     rows = read_table(path)
     if next(rows, None) is None:
         raise LengthError(f"{path} is empty")
@@ -293,6 +282,10 @@ def load_dataset(path) -> LabeledDataset:
         if row[2] not in SPLITS:
             raise ParseError(f"{path}: line {line}: unknown split "
                              f"{row[2]!r}", line=line)
+        if pair_split.setdefault(pid, row[2]) != row[2]:
+            raise ParseError(f"{path}: line {line}: pair {pid} is in "
+                             f"{row[2]!r} here but in {pair_split[pid]!r} "
+                             "on an earlier line", line=line)
         pair_id.append(pid)
         y.append(label)
         split.append(row[2])

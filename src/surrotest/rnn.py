@@ -92,10 +92,6 @@ class RnnModel:
     def hidden_size(self) -> int:
         return self.w_in.size
 
-    def params(self) -> dict:
-        """Name -> view of ``vec``."""
-        return dict(zip(PARAM_NAMES, self._views))
-
     def copy(self) -> "RnnModel":
         return RnnModel(*self._views)
 
@@ -130,6 +126,8 @@ def _sigmoid(z):
 def _forward_batch(model: RnnModel, X: np.ndarray):
     """Probabilities and the full hidden trace for a (B, L) batch.
 
+    h_0 = 0; h_t = ReLU(w_in * x_t + W_rec h_{t-1} + b_h);
+    p = sigmoid(w_out . h_L + b_out).
     Returns (p (B,), trace (L+1, B, H)); trace[0] is the zero initial state.
     """
     B, L = X.shape
@@ -151,27 +149,6 @@ def _forward_batch(model: RnnModel, X: np.ndarray):
         raise NumericError(f"non-finite hidden activation at step {int(bad)}")
     logits = trace[L] @ model.w_out + model.b_out[0]
     return _sigmoid(np.atleast_1d(logits)), trace
-
-
-def rnn_forward(model: RnnModel, sequence):
-    """Classification probability and hidden trace for a single sequence.
-
-    h_0 = 0; h_t = ReLU(w_in * x_t + W_rec h_{t-1} + b_h);
-    p = sigmoid(w_out . h_L + b_out).
-    """
-    x = np.asarray(sequence, dtype=float)
-    if x.ndim != 1 or x.size < 1:
-        raise ParameterError("sequence must be a nonempty 1-D array")
-    if not np.all(np.isfinite(x)):
-        raise ParameterError("sequence must be finite")
-    p, trace = _forward_batch(model, x[None, :])
-    return float(p[0]), trace[:, 0, :]
-
-
-def bce_loss(p: float, y: int) -> float:
-    """Binary cross-entropy with probability clamped to [1e-12, 1-1e-12]."""
-    p = min(max(float(p), _P_FLOOR), 1.0 - _P_FLOOR)
-    return -(y * np.log(p) + (1 - y) * np.log(1.0 - p))
 
 
 def _batch_loss(p: np.ndarray, y: np.ndarray) -> float:
@@ -476,8 +453,9 @@ def save_report(path, report: TrainReport, extra_meta: dict | None = None) -> No
 
 
 def load_report(path) -> TrainReport:
-    """The report saved by ``save_report``; a malformed CSV row or a
-    sidecar field of the wrong type raises ``ParseError`` naming the file."""
+    """The report saved by ``save_report``; a malformed CSV row, a sidecar
+    field of the wrong type, or a representative epoch or accuracy other
+    than the one its curves give raises ``ParseError`` naming the file."""
     report = TrainReport()
     rows = read_table(path)
     header = next(rows, None)
@@ -501,4 +479,11 @@ def load_report(path) -> TrainReport:
     report.hyperparams = meta.get("hyperparams", {})
     report.representative_epoch = meta.get("representative_epoch")
     report.representative_accuracy = meta.get("representative_accuracy")
+    wanted = (stats.representative_accuracy(report) if report.test_acc_s5
+              else (None, None))
+    for key, want in zip(("representative_epoch", "representative_accuracy"),
+                         wanted):
+        if meta.get(key) not in (None, want):
+            raise ParseError(f"{meta_path(path)}: {key} is {meta[key]}, but "
+                             f"the curves give {want}")
     return report

@@ -59,10 +59,14 @@ def meta_path(path) -> Path:
 
 def read_json(path):
     """The parsed JSON file ``path``; malformed JSON raises ``ParseError``
-    naming the file and line."""
+    naming the file and line, and a ``NaN`` or ``Infinity`` constant
+    raises ``ParseError`` naming the file."""
+    def refuse(constant):
+        raise ParseError(f"{path}: {constant} is not a finite number")
+
     with open(path) as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, parse_constant=refuse)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}",
                              line=exc.lineno) from None

@@ -69,8 +69,7 @@ def idft(spectrum) -> np.ndarray:
     """Inverse transform (divides by n); complex output.
 
     Accepts a Spectrum or a raw coefficient array.  For coefficient sets
-    with conjugate symmetry the imaginary part is rounding dust; use
-    ``idft_real`` to strip it.
+    with conjugate symmetry the imaginary part is rounding dust.
     """
     coeffs = spectrum.coeffs if isinstance(spectrum, Spectrum) else np.asarray(
         spectrum, dtype=complex
@@ -78,11 +77,6 @@ def idft(spectrum) -> np.ndarray:
     if coeffs.size == 0:
         raise LengthError("cannot invert an empty spectrum")
     return np.fft.ifft(coeffs)
-
-
-def idft_real(spectrum) -> np.ndarray:
-    """Inverse transform of a conjugate-symmetric spectrum, real output."""
-    return idft(spectrum).real
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@ representative-accuracy selection from learning curves."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -16,53 +15,32 @@ from .errors import LengthError, ParameterError
 class BinomialTestResult:
     successes: int
     trials: int
-    null_proportion: float
     p_value: float
     alpha: float
     reject: bool
 
 
-def binomial_test(k: int, n: int, p0: float = 0.5,
-                  alpha: float = 0.05) -> BinomialTestResult:
-    """Exact two-sided one-sample binomial test.
+def binomial_test(k: int, n: int, alpha: float = 0.05) -> BinomialTestResult:
+    """Exact two-sided one-sample binomial test against 0.5.
 
     The p-value is min(1, 2 * min(P(X <= k), P(X >= k))) under
-    Binomial(n, p0).  For the symmetric null p0 = 0.5 the tails are exact
-    integer sums (so the result agrees bit-for-bit with direct mass
-    summation); other nulls use log-space summation, which stays accurate
-    far into the tails where naive products underflow.
+    Binomial(n, 1/2).  The null is symmetric, so the smaller tail is
+    P(X <= min(k, n - k)): an exact integer sum of binomial coefficients,
+    each built from the last by comb(n, i+1) = comb(n, i) * (n-i) / (i+1),
+    so the result agrees bit for bit with direct mass summation.
     """
     if n < 1:
         raise ParameterError(f"need at least one trial, got n={n}")
     if not 0 <= k <= n:
         raise ParameterError(f"successes k={k} outside [0, {n}]")
-    if not 0.0 < p0 < 1.0:
-        raise ParameterError(f"null proportion must be in (0, 1), got {p0}")
 
-    if p0 == 0.5:
-        lower = sum(math.comb(n, i) for i in range(0, k + 1))
-        upper = sum(math.comb(n, i) for i in range(k, n + 1))
-        p = float(min(Fraction(1), 2 * Fraction(min(lower, upper), 2**n)))
-    else:
-        log_pmf = _binomial_log_pmf(n, p0)
-        lower = _log_sum_exp(log_pmf[: k + 1])
-        upper = _log_sum_exp(log_pmf[k:])
-        p = min(1.0, 2.0 * math.exp(min(lower, upper)))
-    return BinomialTestResult(successes=k, trials=n, null_proportion=p0,
-                              p_value=p, alpha=alpha, reject=p < alpha)
-
-
-def _binomial_log_pmf(n: int, p0: float) -> np.ndarray:
-    i = np.arange(n + 1)
-    log_comb = (math.lgamma(n + 1)
-                - np.array([math.lgamma(v + 1) for v in i])
-                - np.array([math.lgamma(n - v + 1) for v in i]))
-    return log_comb + i * math.log(p0) + (n - i) * math.log1p(-p0)
-
-
-def _log_sum_exp(values: np.ndarray) -> float:
-    m = float(np.max(values))
-    return m + math.log(float(np.sum(np.exp(values - m))))
+    term = tail = 1
+    for i in range(min(k, n - k)):
+        term = term * (n - i) // (i + 1)
+        tail += term
+    p = float(min(Fraction(1), 2 * Fraction(tail, 2**n)))
+    return BinomialTestResult(successes=k, trials=n, p_value=p, alpha=alpha,
+                              reject=p < alpha)
 
 
 def smooth(curve, window: int = 5) -> np.ndarray:

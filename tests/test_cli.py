@@ -9,7 +9,7 @@ import pytest
 
 from surrotest import series, spectral
 from surrotest.cli import build_parser, main, resolve_config
-from surrotest.dataset import load_dataset, save_series, standardize
+from surrotest.dataset import load_dataset, standardize
 from surrotest.dynsys import load_realizations, make_realizations
 
 
@@ -147,6 +147,8 @@ def test_train_and_report_stages(tmp_path, capsys):
     ("seeds", [], "ParseError"),
     ("representative_epoch", None, "ParameterError"),
     ("representative_accuracy", None, "ParameterError"),
+    ("representative_epoch", 9999, "ParseError"),
+    ("representative_accuracy", 0.99, "ParseError"),
 ])
 def test_report_rejects_bad_sidecar(tmp_path, capsys, key, value, error):
     out = tmp_path / "run"
@@ -161,6 +163,27 @@ def test_report_rejects_bad_sidecar(tmp_path, capsys, key, value, error):
     assert f"error[{error}]" in err
     assert (str(sidecar) if error == "ParseError"
             else "representative epoch") in err
+
+
+def test_non_finite_json_constant_is_parse_error(tmp_path, capsys):
+    out = tmp_path / "run"
+    base = ["--system", "logistic", "--seed", "4", "--out", out] + TINY
+    assert run_cli("pipeline", *base) == 0
+    sidecar = out / "train_report.meta.json"
+    meta = json.loads(sidecar.read_text())
+    config = tmp_path / "cfg.json"
+    for value in (float("nan"), float("inf"), -float("inf")):
+        # json.dumps writes these as NaN, Infinity and -Infinity.
+        sidecar.write_text(json.dumps({**meta,
+                                       "representative_accuracy": value}))
+        config.write_text(json.dumps({"alpha": value}))
+        for argv, path in ((["report", *base], sidecar),
+                           (["generate", "--config", config,
+                             "--out", tmp_path / "again"], config)):
+            assert run_cli(*argv) == 2
+            err = capsys.readouterr().err
+            assert "error[ParseError]" in err and str(path) in err
+            assert "is not a finite number" in err
 
 
 @pytest.mark.parametrize("system, extra", [
@@ -267,7 +290,7 @@ def test_pipeline_on_user_record(tmp_path):
     # filtered and windowed before the usual pipeline.
     record = make_realizations("lorenz", 600, 1, seed=11)[0][0]
     rec_path = tmp_path / "record.txt"
-    save_series(rec_path, record)
+    np.savetxt(rec_path, record, fmt="%.17g")
     out = tmp_path / "run"
     assert run_cli("pipeline", "--system", "file", "--input", rec_path,
                    "--filter-cutoff-hz", "2.0",
@@ -575,11 +598,19 @@ def _relabel_pair_0_surrogate(lines):
     return lines[:2] + [b"0,1," + lines[2][4:]] + lines[3:]
 
 
+def _move_pair_0_surrogate(lines):
+    # Pair 0's surrogate goes to a split that its original is not in.
+    cells = lines[2].split(b",")
+    cells[2] = b"validation" if cells[2] == b"test" else b"test"
+    return lines[:2] + [b",".join(cells)] + lines[3:]
+
+
 @pytest.mark.parametrize("edit,message", [
     (lambda lines: lines[:9] + lines[-1:],  # header, 8 of 12 items, ""
      "8 items, but its sidecar says N = 6 pairs"),
     (_relabel_pair_0_surrogate,
      "pair 0 is not one original and one surrogate"),
+    (_move_pair_0_surrogate, "line 3: pair 0 is in"),
 ])
 def test_dataset_that_breaks_its_pairs_is_parse_error(tmp_path, capsys,
                                                       edit, message):

@@ -7,7 +7,7 @@ from surrotest.dataset import (SPLITS, FilterSpec, LabeledDataset,
                                build_dataset, butterworth_lowpass,
                                design_butterworth_lowpass, load_dataset,
                                load_series, pair_surrogates, save_dataset,
-                               save_series, split_dataset, standardize)
+                               split_dataset, standardize)
 from surrotest.dynsys import (load_realizations, make_realizations,
                               save_realizations)
 from surrotest.errors import (LengthError, ParameterError, ParseError,
@@ -64,7 +64,7 @@ def test_load_series_mixed_lines_keep_file_order(tmp_path):
                 min_size=1, max_size=64))
 def test_save_load_round_trip_bit_exact(tmp_path_factory, values):
     path = tmp_path_factory.mktemp("io") / "rec.txt"
-    save_series(path, np.array(values))
+    np.savetxt(path, np.array(values), fmt="%.17g")
     loaded = load_series(path)
     assert np.array_equal(loaded, np.array(values))
 
@@ -206,15 +206,21 @@ def test_standardize_needs_two_samples():
 # build_dataset
 # ---------------------------------------------------------------------------
 
+def paired_dataset(originals, config):
+    """``build_dataset`` on the surrogates the surrogate stage makes."""
+    surrogates = [r.surrogate for r in pair_surrogates(originals, config)]
+    return build_dataset(originals, config, surrogates)
+
+
 @pytest.fixture(scope="module")
 def small_dataset():
     originals = make_realizations("logistic", 16, 10, seed=21)[0]
-    return build_dataset(originals, SurrogateConfig(seed=22))
+    return paired_dataset(originals, SurrogateConfig(seed=22))
 
 
 def test_build_single_pair():
     originals = make_realizations("logistic", 16, 1, seed=23)[0]
-    ds = build_dataset(originals, SurrogateConfig(seed=24))
+    ds = paired_dataset(originals, SurrogateConfig(seed=24))
     assert len(ds) == 2
     assert sorted(ds.y.tolist()) == [0, 1]
     assert len(set(ds.pair_id.tolist())) == 1
@@ -245,8 +251,8 @@ def test_build_items_are_standardized(small_dataset):
 def test_build_rejects_mixed_lengths():
     # Originals and surrogates must be one (N, L) block each, of one shape.
     rows = np.arange(64, dtype=float).reshape(4, 16)
-    for originals, surrogates in (([rows[0], np.arange(32.0)], None),
-                                  (rows[0], None), (rows[:0], None),
+    for originals, surrogates in (([rows[0], np.arange(32.0)], rows),
+                                  (rows[0], rows), (rows[:0], rows),
                                   (rows, rows[:3])):
         with pytest.raises(LengthError):
             build_dataset(originals, SurrogateConfig(seed=0),
@@ -257,7 +263,7 @@ def test_build_rejects_non_finite_rows():
     rows = np.arange(64, dtype=float).reshape(4, 16)
     bad = rows.copy()
     bad[1, 3] = np.inf
-    for originals, surrogates in ((bad, None), (bad, rows), (rows, bad)):
+    for originals, surrogates in ((bad, rows), (rows, bad)):
         with pytest.raises(ParameterError, match="finite"):
             build_dataset(originals, SurrogateConfig(seed=0),
                           surrogates=surrogates)
@@ -312,7 +318,7 @@ def test_split_deterministic(small_dataset):
 
 def test_split_rejects_tiny_dataset():
     originals = make_realizations("logistic", 16, 2, seed=25)[0]
-    ds = build_dataset(originals, SurrogateConfig(seed=26))
+    ds = paired_dataset(originals, SurrogateConfig(seed=26))
     with pytest.raises(SplitError):
         split_dataset(ds, seed=9)
 
@@ -341,7 +347,7 @@ def saved_csvs(tmp_path_factory):
     root = tmp_path_factory.mktemp("saved")
     originals, meta = make_realizations("logistic", 16, 6, seed=40)
     save_realizations(root / "realizations.csv", originals, meta)
-    ds = split_dataset(build_dataset(originals, SurrogateConfig(seed=41)),
+    ds = split_dataset(paired_dataset(originals, SurrogateConfig(seed=41)),
                        seed=42)
     save_dataset(root / "dataset.csv", ds)
     curves = np.random.default_rng(43).uniform(0, 1, (6, 12)).tolist()

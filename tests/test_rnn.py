@@ -1,23 +1,39 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from surrotest.dataset import build_dataset, split_dataset
+from surrotest.dataset import build_dataset, pair_surrogates, split_dataset
 from surrotest.dynsys import make_realizations
 from surrotest.errors import NumericError, ParameterError, ParseError
-from surrotest.rnn import (PARAM_NAMES, RnnModel, TrainConfig, _batch_loss,
-                           _forward_batch, _loss_and_gradients, _sigmoid,
-                           adam_init, adam_step, bce_loss, bptt_gradients,
+from surrotest.rnn import (PARAM_NAMES, RnnModel, TrainConfig, TrainReport,
+                           _batch_loss, _forward_batch, _loss_and_gradients,
+                           _sigmoid, adam_init, adam_step, bptt_gradients,
                            clip_gradients, evaluate, init_model, load_model,
-                           load_report, rnn_forward, save_model, save_report,
-                           train)
+                           load_report, save_model, save_report, train)
 from surrotest.spectral import SurrogateConfig
 
 
 def zero_model(H=2):
     return RnnModel(w_in=np.zeros(H), w_rec=np.zeros((H, H)), b_h=np.zeros(H),
                     w_out=np.zeros(H), b_out=np.zeros(1))
+
+
+def named_params(model) -> dict:
+    """Name -> view of ``model.vec``."""
+    return {name: getattr(model, name) for name in PARAM_NAMES}
+
+
+def forward_one(model, x):
+    """Probability and (L+1, H) hidden trace of one sequence."""
+    p, trace = _forward_batch(model, np.asarray(x, dtype=float)[None, :])
+    return float(p[0]), trace[:, 0, :]
+
+
+def paired_dataset(originals, config):
+    surrogates = [r.surrogate for r in pair_surrogates(originals, config)]
+    return build_dataset(originals, config, surrogates)
 
 
 # ---------------------------------------------------------------------------
@@ -27,20 +43,19 @@ def zero_model(H=2):
 def test_named_parameters_are_views_of_vec():
     m = init_model(4, seed=20)
     assert m.vec.shape == (4 * 4 + 3 * 4 + 1,)
-    for name, p in m.params().items():
-        assert getattr(m, name) is p
-        assert np.shares_memory(p, m.vec)
-    flat = np.concatenate([m.params()[name].ravel() for name in PARAM_NAMES])
+    for name in PARAM_NAMES:
+        assert np.shares_memory(getattr(m, name), m.vec)
+    flat = np.concatenate([getattr(m, name).ravel() for name in PARAM_NAMES])
     assert np.array_equal(flat, m.vec)
 
 
 def test_writing_through_a_view_changes_the_forward_output():
     m = init_model(4, seed=21)
     x = np.random.default_rng(21).normal(size=12)
-    assert rnn_forward(m, x)[0] != 0.5
+    assert forward_one(m, x)[0] != 0.5
     m.w_out[...] = 0.0
     assert m.vec[4 * 4 + 2 * 4:-1].tolist() == [0.0] * 4
-    assert rnn_forward(m, x)[0] == 0.5     # b_out is 0 after init
+    assert forward_one(m, x)[0] == 0.5     # b_out is 0 after init
 
 
 def test_assignment_never_detaches_a_view():
@@ -61,7 +76,7 @@ def test_assignment_never_detaches_a_view():
     ("w_out", np.zeros(4)), ("b_out", np.zeros(2)), ("b_out", np.zeros(())),
 ])
 def test_constructor_rejects_inconsistent_shapes(name, value):
-    params = zero_model(3).params()
+    params = named_params(zero_model(3))
     params[name] = value
     with pytest.raises(ParameterError):
         RnnModel(**params)
@@ -70,7 +85,7 @@ def test_constructor_rejects_inconsistent_shapes(name, value):
 @pytest.mark.parametrize("name", PARAM_NAMES)
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_constructor_rejects_non_finite_values(name, bad):
-    params = {k: v.copy() for k, v in zero_model(3).params().items()}
+    params = {k: v.copy() for k, v in named_params(zero_model(3)).items()}
     params[name].flat[-1] = bad
     with pytest.raises(ParameterError, match=name):
         RnnModel(**params)
@@ -81,14 +96,14 @@ def test_constructor_rejects_non_finite_values(name, bad):
 # ---------------------------------------------------------------------------
 
 def test_forward_all_zero_parameters():
-    p, _ = rnn_forward(zero_model(), np.array([0.3, -0.7, 1.2]))
+    p, _ = forward_one(zero_model(), np.array([0.3, -0.7, 1.2]))
     assert p == pytest.approx(0.5)
 
 
 def test_forward_output_bias_only():
     m = zero_model()
     m.b_out[...] = 1.0
-    p, _ = rnn_forward(m, np.zeros(4))
+    p, _ = forward_one(m, np.zeros(4))
     assert p == pytest.approx(0.731059, abs=1e-6)
 
 
@@ -96,7 +111,7 @@ def test_forward_two_step_hand_computation():
     m = RnnModel(w_in=np.array([1.0]), w_rec=np.array([[1.0]]),
                  b_h=np.array([0.0]), w_out=np.array([1.0]),
                  b_out=np.array([0.0]))
-    p, trace = rnn_forward(m, np.array([1.0, 1.0]))
+    p, trace = forward_one(m, np.array([1.0, 1.0]))
     assert trace[1][0] == pytest.approx(1.0)
     assert trace[2][0] == pytest.approx(2.0)
     assert p == pytest.approx(0.880797, abs=1e-6)
@@ -106,12 +121,12 @@ def test_forward_scaling_output_weights_keeps_class():
     rng = np.random.default_rng(0)
     m = init_model(6, seed=1)
     x = rng.normal(size=16)
-    p, _ = rnn_forward(m, x)
+    p, _ = forward_one(m, x)
     for c in (0.5, 2.0, 10.0):
         scaled = m.copy()
         scaled.w_out[...] = m.w_out * c
         scaled.b_out[...] = m.b_out * c
-        q, _ = rnn_forward(scaled, x)
+        q, _ = forward_one(scaled, x)
         assert (q >= 0.5) == (p >= 0.5)
 
 
@@ -126,7 +141,7 @@ def test_overflowing_hidden_state_is_numeric_error():
         with pytest.raises(NumericError, match="activation at step 3$"):
             _forward_batch(m, X)
         with pytest.raises(NumericError, match="activation at step 3$"):
-            rnn_forward(m, X[1])
+            _forward_batch(m, X[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -223,17 +238,20 @@ def test_sigmoid_matches_reference_bit_for_bit():
 # ---------------------------------------------------------------------------
 
 def test_bce_symmetric_point():
-    assert bce_loss(0.5, 1) == pytest.approx(np.log(2.0))
-    assert bce_loss(0.5, 0) == pytest.approx(np.log(2.0))
+    for y in (1.0, 0.0):
+        loss = _batch_loss(np.array([0.5]), np.array([y]))
+        assert loss == pytest.approx(np.log(2.0))
 
 
 def test_bce_confident_correct():
-    assert bce_loss(0.9, 1) == pytest.approx(0.105361, abs=1e-6)
+    loss = _batch_loss(np.array([0.9, 0.9]), np.array([1.0, 0.0]))
+    # The mean of -log(0.9) and -log(0.1).
+    assert loss == pytest.approx((0.105361 + 2.302585) / 2, abs=1e-6)
 
 
 def test_bce_perfect_prediction_clamped():
-    assert 0.0 <= bce_loss(1.0, 1) <= 1.1e-12
-    assert 0.0 <= bce_loss(0.0, 0) <= 1.1e-12
+    loss = _batch_loss(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+    assert 0.0 <= loss <= 1.1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +287,7 @@ def numeric_gradients(model, batch, step=1e-5):
         return _batch_loss(p, y)
 
     out = {}
-    for name, arr in model.params().items():
+    for name, arr in named_params(model).items():
         g = np.zeros_like(arr)
         flat = arr.ravel()
         gflat = g.ravel()
@@ -330,7 +348,7 @@ def test_adam_zero_gradient_is_fixed_point():
     state = adam_init(m)
     adam_step(m, np.zeros_like(m.vec), state)
     assert state.t == 1
-    for name, p in before.params().items():
+    for name, p in named_params(before).items():
         assert np.array_equal(p, getattr(m, name))
 
 
@@ -379,7 +397,7 @@ def test_evaluate_negated_output_flips_predictions():
     rng = np.random.default_rng(5)
     m = init_model(5, seed=6)
     items = [(rng.normal(size=12), int(rng.integers(0, 2))) for _ in range(40)]
-    ps = [rnn_forward(m, x)[0] for x, _ in items]
+    ps = [forward_one(m, x)[0] for x, _ in items]
     assert all(p != 0.5 for p in ps)  # tie-free set
     flipped = m.copy()
     flipped.w_out[...] = -m.w_out
@@ -394,7 +412,7 @@ def test_evaluate_negated_output_flips_predictions():
 @pytest.fixture(scope="module")
 def toy_dataset():
     originals = make_realizations("logistic", 16, 8, seed=30)[0]
-    ds = build_dataset(originals, SurrogateConfig(seed=31))
+    ds = paired_dataset(originals, SurrogateConfig(seed=31))
     return split_dataset(ds, seed=32)
 
 
@@ -402,7 +420,7 @@ def test_train_zero_epochs_returns_initialization(toy_dataset):
     snapshots, report = train(7, toy_dataset, 0, TrainConfig(hidden_size=4))
     assert len(snapshots) == 1
     init = init_model(4, seed=7)
-    for name, p in init.params().items():
+    for name, p in named_params(init).items():
         assert np.array_equal(p, getattr(snapshots[0], name))
     assert report.train_loss == []
     assert report.representative_epoch is None
@@ -432,7 +450,7 @@ def test_train_is_deterministic(toy_dataset):
     assert rep_a.val_loss == rep_b.val_loss
     assert rep_a.test_acc == rep_b.test_acc
     for ma, mb in zip(snaps_a, snaps_b):
-        for name in ma.params():
+        for name in named_params(ma):
             assert np.array_equal(getattr(ma, name), getattr(mb, name))
 
 
@@ -443,8 +461,8 @@ def reference_train(init_seed, dataset, epochs, config):
     the steps were clipped."""
     X = dataset.X[dataset.split == "train"]
     y = dataset.y[dataset.split == "train"]
-    params = {k: v.copy() for k, v in
-              init_model(config.hidden_size, seed=init_seed).params().items()}
+    init = init_model(config.hidden_size, seed=init_seed)
+    params = {k: v.copy() for k, v in named_params(init).items()}
     m = {k: np.zeros_like(v) for k, v in params.items()}
     v = {k: np.zeros_like(p) for k, p in params.items()}
     rng = np.random.default_rng(config.shuffle_seed)
@@ -476,7 +494,7 @@ def reference_train(init_seed, dataset, epochs, config):
 @pytest.fixture(scope="module")
 def small_dataset():
     originals = make_realizations("henon", 16, 40, seed=40)[0]
-    ds = build_dataset(originals, SurrogateConfig(seed=41))
+    ds = paired_dataset(originals, SurrogateConfig(seed=41))
     return split_dataset(ds, seed=42)
 
 
@@ -530,7 +548,7 @@ def test_model_round_trip(tmp_path):
     path = tmp_path / "model.json"
     save_model(path, m)
     loaded = load_model(path)
-    for name, p in m.params().items():
+    for name, p in named_params(m).items():
         assert np.array_equal(p, getattr(loaded, name))
 
 
@@ -562,6 +580,26 @@ def test_report_round_trip(tmp_path, toy_dataset):
     assert loaded.test_acc_s5 == report.test_acc_s5
     assert loaded.n_test_items == report.n_test_items
     assert loaded.representative_epoch == report.representative_epoch
+
+
+def test_report_sidecar_must_agree_with_its_curves(tmp_path, toy_dataset):
+    _, report = train(15, toy_dataset, 4, TrainConfig(hidden_size=3))
+    epoch, acc = report.representative_epoch, report.representative_accuracy
+    assert acc != 0.99
+    path = tmp_path / "report.csv"
+    for key, value in (("representative_epoch", 9999),
+                       ("representative_epoch", 5),
+                       ("representative_accuracy", 0.99)):
+        save_report(path, replace(report, **{key: value}))
+        with pytest.raises(ParseError, match=f"{key} is {value}, but"):
+            load_report(path)
+    # Without curves there is no representative epoch to report.
+    save_report(path, TrainReport(representative_epoch=epoch,
+                                  representative_accuracy=acc))
+    with pytest.raises(ParseError, match="representative_epoch"):
+        load_report(path)
+    save_report(path, report)
+    assert load_report(path).representative_accuracy == acc
 
 
 def test_report_bad_header_is_parse_error(tmp_path):

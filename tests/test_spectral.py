@@ -4,7 +4,7 @@ import pytest
 from surrotest.errors import LengthError, NormalizationError, ParameterError
 from surrotest.spectral import (SurrogateConfig, aaft_surrogate, dft,
                                 ft_surrogate, iaaft_surrogate, idft,
-                                idft_real, rank_order, shuffle_surrogate,
+                                rank_order, shuffle_surrogate,
                                 spectral_discrepancy)
 
 
