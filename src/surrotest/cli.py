@@ -25,10 +25,12 @@ import numpy as np
 from . import dynsys, rnn, stats
 from .dataset import (FilterSpec, LabeledDataset, build_dataset,
                       butterworth_lowpass, load_dataset, load_series,
-                      pair_surrogates, save_dataset, split_dataset)
-from .errors import ParameterError, SurrotestError
+                      pair_surrogates, save_dataset, split_dataset,
+                      split_sizes)
+from .errors import ParameterError, ParseError, SurrotestError
 from .seeding import stage_seed
-from .series import atomic_open, file_sha256, read_json, write_json
+from .series import (atomic_open, file_sha256, meta_path, read_json,
+                     read_meta, write_json)
 from .spectral import SurrogateConfig
 
 OUTPUT_ROOT_ENV = "SURROTEST_OUT"
@@ -304,11 +306,30 @@ def verdict_from_report(report: rnn.TrainReport, alpha: float = 0.05) -> dict:
     }
 
 
+def _check_test_items(report: rnn.TrainReport, source: Path) -> None:
+    """A report with a dataset sidecar beside it must count the test items
+    that the dataset's split gives: the binomial test's cost grows with
+    ``n_test_items``, so an edited count could stall ``report``."""
+    dataset = source.with_name("dataset.csv")
+    dataset_meta = meta_path(dataset)
+    n_pairs = read_meta(dataset).get("N")
+    if n_pairs is None:
+        return
+    if not isinstance(n_pairs, int):
+        raise ParseError(f"{dataset_meta}: N is not a pair count: {n_pairs!r}")
+    want = 2 * split_sizes(n_pairs)[0]
+    if report.n_test_items != want:
+        raise ParseError(f"{meta_path(source)}: n_test_items is "
+                         f"{report.n_test_items}, but the split of the "
+                         f"{n_pairs} pairs in {dataset_meta} gives {want}")
+
+
 def cmd_report(cfg: RunConfig, input_path=None, report=None) -> dict:
     outdir = cfg.outdir()
     if report is None:
-        report = rnn.load_report(_stage_input(cfg, input_path,
-                                              "train_report.csv"))
+        source = _stage_input(cfg, input_path, "train_report.csv")
+        report = rnn.load_report(source)
+        _check_test_items(report, source)
     verdict = verdict_from_report(report)
     line = json.dumps(verdict, sort_keys=True)
     with atomic_open(outdir / "verdict.json") as fh:

@@ -211,23 +211,28 @@ def build_dataset(originals, config: SurrogateConfig,
                           seeds={"surrogate": config.seed})
 
 
-def split_dataset(dataset: LabeledDataset, seed: int) -> LabeledDataset:
-    """Assign whole pairs to train/validation/test by ``TRAIN_FRAC`` and
-    ``VAL_FRAC_OF_TRAIN``.
+def split_sizes(n_pairs: int) -> tuple:
+    """(test, validation) pair counts of a split of ``n_pairs`` pairs by
+    ``TRAIN_FRAC`` and ``VAL_FRAC_OF_TRAIN``.
 
-    Test and validation sizes are floored; the remainder stays in train.
+    Both are floored; the remainder stays in train.
     """
+    # The 1e-9 nudge keeps exact fractions exact (0.30 * 750 must be 225
+    # pairs, not 224) despite binary rounding of the fractions themselves.
+    n_test = int(np.floor((1.0 - TRAIN_FRAC) * n_pairs + 1e-9))
+    n_val = int(np.floor(VAL_FRAC_OF_TRAIN * (n_pairs - n_test) + 1e-9))
+    return n_test, n_val
+
+
+def split_dataset(dataset: LabeledDataset, seed: int) -> LabeledDataset:
+    """Assign whole pairs to train/validation/test in the sizes that
+    ``split_sizes`` gives."""
     # A set, not np.unique: numpy's sort code adds about 1 MB to peak RSS.
     pair_ids = sorted(set(dataset.pair_id.tolist()))
     n_pairs = len(pair_ids)
     if n_pairs < 3:
         raise SplitError(f"need at least 3 pairs to split, got {n_pairs}")
-
-    # The 1e-9 nudge keeps exact fractions exact (0.30 * 750 must be 225
-    # pairs, not 224) despite binary rounding of the fractions themselves.
-    n_test = int(np.floor((1.0 - TRAIN_FRAC) * n_pairs + 1e-9))
-    pool = n_pairs - n_test
-    n_val = int(np.floor(VAL_FRAC_OF_TRAIN * pool + 1e-9))
+    n_test, n_val = split_sizes(n_pairs)
 
     rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
     order = rng.permutation(n_pairs)

@@ -15,6 +15,12 @@ batches are integrated together, but every realization has its own
 step-size control and its own sample grid, so realization i of a batch
 has the same samples whatever N is.  A flow's burn-in runs at looser
 tolerances than its sampled segment: it only has to land on the attractor.
+
+Each flow's equations are written once, as the in-place kernel
+``rhs(t, y, out)`` that ``flow_rhs`` returns.  ``rk45_integrate`` calls it
+on stage buffers that it allocates once per call, and it rejects and
+retries a row whose trial step leaves a non-finite stage.
+``flow_derivative`` checks its state, then calls the same kernel.
 """
 
 from __future__ import annotations
@@ -120,36 +126,67 @@ def chua_nonlinearity(x, m0: float, m1: float):
     return m1 * x + 0.5 * (m0 - m1) * (np.abs(x + 1.0) - np.abs(x - 1.0))
 
 
+def flow_rhs(system: str, params: FlowParams | None = None):
+    """In-place right-hand side ``rhs(t, y, out)`` of the named flow, the
+    form ``rk45_integrate`` calls.
+
+    ``rhs`` writes dy/dt at the state ``y`` (a 3-vector or an (N, 3)
+    batch) into ``out``, an array of the same shape that does not overlap
+    ``y``.  It checks nothing: a non-finite ``y`` gives a non-finite
+    ``out``.  The flows are autonomous, so ``t`` is ignored.
+    """
+    p = FlowParams() if params is None else params
+    if system == "lorenz":
+        def rhs(t, state, out):
+            x, y, z = state[..., 0], state[..., 1], state[..., 2]
+            dx, dy, dz = out[..., 0], out[..., 1], out[..., 2]
+            np.subtract(y, x, out=dx)             # dx = sigma (y - x)
+            dx *= p.lorenz_sigma
+            np.subtract(p.lorenz_rho, z, out=dy)  # dy = x (rho - z) - y
+            dy *= x
+            dy -= y
+            np.multiply(x, y, out=dz)             # dz = x y - beta z
+            dz -= p.lorenz_beta * z
+    elif system == "rossler":
+        def rhs(t, state, out):
+            x, y, z = state[..., 0], state[..., 1], state[..., 2]
+            dx, dy, dz = out[..., 0], out[..., 1], out[..., 2]
+            np.negative(y, out=dx)                # dx = -y - z
+            dx -= z
+            np.multiply(p.rossler_a, y, out=dy)   # dy = x + a y
+            dy += x
+            np.subtract(x, p.rossler_c, out=dz)   # dz = b + z (x - c)
+            dz *= z
+            dz += p.rossler_b
+    elif system == "chua":
+        def rhs(t, state, out):
+            x, y, z = state[..., 0], state[..., 1], state[..., 2]
+            dx, dy, dz = out[..., 0], out[..., 1], out[..., 2]
+            np.subtract(y, x, out=dx)             # dx = alpha (y - x - g(x))
+            dx -= chua_nonlinearity(x, p.chua_m0, p.chua_m1)
+            dx *= p.chua_alpha
+            np.subtract(x, y, out=dy)             # dy = x - y + z
+            dy += z
+            np.multiply(-p.chua_beta, y, out=dz)  # dz = -beta y
+    else:
+        raise ParameterError(f"unknown flow {system!r}; expected lorenz|rossler|chua")
+    return rhs
+
+
 def flow_derivative(system: str, state, params: FlowParams | None = None) -> np.ndarray:
     """Right-hand side of the named flow at ``state``.
 
     ``state`` may be a single 3-vector or an (N, 3) batch; the derivative
-    has the same shape.
+    has the same shape.  Unlike the kernel of ``flow_rhs``, which it calls,
+    it refuses a non-finite state.
     """
-    if params is None:
-        params = FlowParams()
     state = np.asarray(state, dtype=float)
     if state.shape[-1] != 3:
         raise ParameterError(f"state must have 3 components, got shape {state.shape}")
     if not np.isfinite(state).all():
         raise ParameterError("state must be finite")
-    x, y, z = state[..., 0], state[..., 1], state[..., 2]
     out = np.empty_like(state)
-    if system == "lorenz":
-        out[..., 0] = params.lorenz_sigma * (y - x)
-        out[..., 1] = x * (params.lorenz_rho - z) - y
-        out[..., 2] = x * y - params.lorenz_beta * z
-    elif system == "rossler":
-        out[..., 0] = -y - z
-        out[..., 1] = x + params.rossler_a * y
-        out[..., 2] = params.rossler_b + z * (x - params.rossler_c)
-    elif system == "chua":
-        fx = chua_nonlinearity(x, params.chua_m0, params.chua_m1)
-        out[..., 0] = params.chua_alpha * (y - x - fx)
-        out[..., 1] = x - y + z
-        out[..., 2] = -params.chua_beta * y
-    else:
-        raise ParameterError(f"unknown flow {system!r}; expected lorenz|rossler|chua")
+    flow_rhs(system, params)(0.0, state, out)
     return out
 
 
@@ -176,26 +213,15 @@ _MAX_FACTOR = 5.0
 _SAFETY = 0.9
 
 
-def _step_factors(norm: np.ndarray) -> np.ndarray:
-    """Step-size factor per row from its error norm: 0.9 * norm ** -0.2,
-    clipped to [_MIN_FACTOR, _MAX_FACTOR], so _MAX_FACTOR at norm 0.
-
-    ``float_power`` calls the C library's ``pow`` element by element, as
-    Python's float ``**`` does.  numpy's vectorised ``power`` may round the
-    last bit differently, and every later step of a chaotic flow would
-    inherit the difference.
-    """
-    with np.errstate(divide="ignore"):  # norm 0 grows the step the most
-        growth = _SAFETY * np.float_power(norm, -0.2)
-    return np.minimum(np.maximum(growth, _MIN_FACTOR), _MAX_FACTOR)
-
-
 def _row_name(row: int, lead: tuple) -> str:
     if not lead:
         return "trajectory"
     return "row " + ", ".join(str(i) for i in np.unravel_index(row, lead))
 
 
+# A wild trial step may overflow or leave a stage state that is not finite;
+# that row is retried, so no floating-point warning in a call is news.
+@np.errstate(all="ignore")
 def rk45_integrate(f, y0, t_end: float, dt_sample: float,
                    rel_tol: float = 1e-9, abs_tol: float = 1e-12,
                    t0: float = 0.0):
@@ -218,11 +244,15 @@ def rk45_integrate(f, y0, t_end: float, dt_sample: float,
     Parameters
     ----------
     f : callable
-        Right-hand side ``f(t, y) -> dy/dt``.  ``y`` has the shape of
-        ``y0`` (scalars are promoted to shape-(1,) arrays) and ``t`` the
-        shape ``y0.shape[:-1] + (1,)``: one time per row, broadcasting
-        against ``y``.  Both are buffers that the next stage overwrites,
-        so ``f`` must not keep them.
+        In-place right-hand side ``f(t, y, out)``: it writes dy/dt at
+        ``y`` into ``out`` and its return value is ignored.  ``y`` and
+        ``out`` have the shape of ``y0`` (scalars are promoted to
+        shape-(1,) arrays) and ``t`` the shape ``y0.shape[:-1] + (1,)``:
+        one time per row, broadcasting against ``y``.  All three are
+        buffers that the next stage overwrites, so ``f`` must not keep
+        them.  ``f`` need not check ``y``: a trial step may give a stage
+        state or derivative that is not finite, and the integrator then
+        rejects that row's step and retries it with a smaller one.
     y0 : array_like
         Initial state: (3,) for one flow, (N, 3) for N realizations.
 
@@ -240,7 +270,7 @@ def rk45_integrate(f, y0, t_end: float, dt_sample: float,
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
     shape, lead = y0.shape, y0.shape[:-1]
     y = y0.reshape(-1, shape[-1]).copy()  # (rows, state)
-    rows = y.shape[0]
+    rows, dim = y.shape
     span = t_end - t0
     n_samples = int(np.floor(span / dt_sample + 1e-9))
     if n_samples < 1:
@@ -251,24 +281,32 @@ def rk45_integrate(f, y0, t_end: float, dt_sample: float,
     states = np.empty((n_samples,) + shape)
     samples = states.reshape((n_samples,) + y.shape)  # (sample, row, state)
 
-    # Stages k0..k6 in one array, seen by f in the shape of y0, and the
-    # stage times and states in buffers f sees the same way.  Coefficients
-    # broadcast over rows and state and the products are summed in stage
-    # order; a matrix product may reorder that sum and change the rounding
-    # of every sample.
+    # Every trip of the loop below runs on these buffers and views, made
+    # once per call.  Stages k0..k6 live in one array, seen by f in the
+    # shape of y0, and the stage times and states in buffers f sees the
+    # same way.  Coefficients broadcast over rows and state and the
+    # products are summed in stage order; a matrix product may reorder
+    # that sum and change the rounding of every sample.
     K = np.empty((7,) + y.shape)
     K_f = K.reshape((7,) + shape)
     t_shape = lead + (1,)
     T = np.empty((7, rows))
     T_f = T.reshape((7,) + t_shape)
+    products = np.empty_like(K)
     y_stage = np.empty_like(y)
     y_stage_f = y_stage.reshape(shape)
-    stages = [(_DP_A[s, :s, None, None], K[:s], T_f[s], K_f[s])
+    stages = [(_DP_A[s, :s, None, None], K[:s], products[:s], T_f[s], K_f[s])
               for s in range(1, 7)]
     C = _DP_C[:, None]
     E = _DP_E[:, None, None]
+    err, scale, size = (np.empty_like(y) for _ in range(3))
+    finite_cells = np.empty(y.shape, dtype=bool)
     t = np.full(rows, float(t0))
     h = np.full(rows, min(dt_sample, span) * 0.01)
+    rest, step, norm, growth = (np.empty(rows) for _ in range(4))
+    active, stalled, finite, accept, reached = (
+        np.empty(rows, dtype=bool) for _ in range(5))
+    step_col, accept_col = step[:, None], accept[:, None]
     # Each row walks the sample grid on its own: ``taken`` counts its
     # samples, and ``t_target`` is its next sample time, -inf once it has
     # taken all.  A time, not a count, marks a finished row because numpy's
@@ -276,10 +314,10 @@ def rk45_integrate(f, y0, t_end: float, dt_sample: float,
     taken = np.zeros(rows, dtype=np.intp)
     targets = np.append(sample_times, -np.inf)
     t_target = targets[taken]
-    K_f[0] = f(t.reshape(t_shape), y.reshape(shape))
+    f(t.reshape(t_shape), y.reshape(shape), K_f[0])
     while True:
-        rest = t_target - t
-        active = rest > 0.0
+        np.subtract(t_target, t, out=rest)
+        np.greater(rest, 0.0, out=active)
         if not active.all() or not rows:  # all() holds for no rows too
             # A row at its sample time (or past it, by rounding) takes the
             # sample and heads for the next; a finished row stays done.
@@ -292,45 +330,70 @@ def rk45_integrate(f, y0, t_end: float, dt_sample: float,
             if not active.any():
                 return sample_times, states
         np.minimum(h, rest, out=h, where=active)
-        stalled = active & (h < h_floor)
+        np.less(h, h_floor, out=stalled)
+        stalled &= active
         if stalled.any():
             r = int(np.argmax(stalled))
             raise StiffnessError(
                 f"{_row_name(r, lead)}: step size underflow ({h[r]:.3e}) "
                 f"at t={t[r]:.6g}; the problem looks stiff"
             )
-        step = np.where(active, h, 0.0)  # rows that are done stay put
-        h_col = step[:, None]
-        np.add(t, np.multiply(C, step, out=T), out=T)
-        for a, k_prev, t_s, k_s in stages:
-            np.add(y, h_col * np.add.reduce(a * k_prev), out=y_stage)
-            k_s[...] = f(t_s, y_stage_f)
+        step.fill(0.0)  # rows that are done stay put
+        np.copyto(step, h, where=active)
+        np.multiply(C, step, out=T)
+        T += t
+        for a, k_prev, prod, t_s, k_s in stages:
+            np.add.reduce(np.multiply(a, k_prev, out=prod), out=y_stage)
+            y_stage *= step_col
+            y_stage += y
+            f(t_s, y_stage_f, k_s)
         # y_stage now holds the stage-6 state: the fifth-order step.
         # A non-finite row is a wild trial step, not necessarily a lost
         # trajectory: it is retried with a smaller step.
-        finite = np.logical_and.reduce(np.isfinite(y_stage), axis=-1)
-        with np.errstate(invalid="ignore"):  # non-finite rows
-            err = h_col * np.add.reduce(E * K)
-            scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_stage))
-            norm = np.sqrt(np.add.reduce((err / scale) ** 2, axis=-1)
-                           / y.shape[-1])
-        accept = active & finite & (norm <= 1.0)
+        np.isfinite(y_stage, out=finite_cells)
+        np.logical_and.reduce(finite_cells, axis=-1, out=finite)
+        np.add.reduce(np.multiply(E, K, out=products), out=err)
+        err *= step_col
+        np.abs(y, out=scale)
+        np.maximum(scale, np.abs(y_stage, out=size), out=scale)
+        scale *= rel_tol
+        scale += abs_tol
+        err /= scale
+        err *= err
+        np.add.reduce(err, axis=-1, out=norm)
+        norm /= dim
+        np.sqrt(norm, out=norm)
+        np.less_equal(norm, 1.0, out=accept)
+        accept &= finite
+        accept &= active
 
         np.add(t, step, out=t, where=accept)
-        np.copyto(t, t_target, where=accept & (step >= rest))
-        accept_col = accept[:, None]
+        np.greater_equal(step, rest, out=reached)
+        reached &= accept
+        np.copyto(t, t_target, where=reached)
         np.copyto(y, y_stage, where=accept_col)
         np.copyto(K[0], K[6], where=accept_col)  # FSAL
-        if np.abs(y).max() > ESCAPE_STATE_LIMIT:
-            escaped = accept & (np.abs(y).max(axis=-1) > ESCAPE_STATE_LIMIT)
+        if np.abs(y, out=size).max() > ESCAPE_STATE_LIMIT:
+            escaped = accept & (size.max(axis=-1) > ESCAPE_STATE_LIMIT)
             if escaped.any():
                 r = int(np.argmax(escaped))
                 raise DivergenceError(
                     f"{_row_name(r, lead)} diverged near t={t[r]:.6g}",
                     time=float(t[r])
                 )
-        factor = np.where(finite, _step_factors(norm), _MIN_FACTOR)
-        np.multiply(h, factor, out=h, where=active)
+        # Step-size factor per row from its error norm: 0.9 * norm **
+        # -0.2, clipped to [_MIN_FACTOR, _MAX_FACTOR], so _MAX_FACTOR at
+        # norm 0; _MIN_FACTOR for a row whose trial step is not finite.
+        # ``float_power`` calls the C library's ``pow`` element by
+        # element, as Python's float ``**`` does.  numpy's vectorised
+        # ``power`` may round the last bit differently, and every later
+        # step of a chaotic flow would inherit the difference.
+        np.float_power(norm, -0.2, out=growth)
+        growth *= _SAFETY
+        np.maximum(growth, _MIN_FACTOR, out=growth)
+        np.minimum(growth, _MAX_FACTOR, out=growth)
+        np.multiply(h, np.where(finite, growth, _MIN_FACTOR), out=h,
+                    where=active)
 
 
 # Reference attractor points used to seed independent initial conditions;
@@ -400,7 +463,7 @@ def _batch_henon(L, N, seed, params):
 def _batch_flow(system, L, N, seed, params):
     dt = FLOW_DT[system]
     y0 = _flow_initial_conditions(system, N, seed)
-    f = lambda t, y: flow_derivative(system, y, params)
+    f = flow_rhs(system, params)
     _, burn = rk45_integrate(f, y0, t_end=FLOW_BURN_IN, dt_sample=FLOW_BURN_IN,
                              rel_tol=BURN_IN_REL_TOL, abs_tol=BURN_IN_ABS_TOL)
     _, states = rk45_integrate(f, burn[-1], t_end=L * dt, dt_sample=dt)

@@ -149,6 +149,7 @@ def test_train_and_report_stages(tmp_path, capsys):
     ("representative_accuracy", None, "ParameterError"),
     ("representative_epoch", 9999, "ParseError"),
     ("representative_accuracy", 0.99, "ParseError"),
+    ("n_test_items", 1_000_000, "ParseError"),
 ])
 def test_report_rejects_bad_sidecar(tmp_path, capsys, key, value, error):
     out = tmp_path / "run"
@@ -163,6 +164,22 @@ def test_report_rejects_bad_sidecar(tmp_path, capsys, key, value, error):
     assert f"error[{error}]" in err
     assert (str(sidecar) if error == "ParseError"
             else "representative epoch") in err
+
+
+def test_report_needs_a_pair_count_beside_it(tmp_path, capsys):
+    # report compares n_test_items with the split of the dataset's N.
+    out = tmp_path / "run"
+    base = ["--system", "logistic", "--seed", "4", "--out", out] + TINY
+    assert run_cli("pipeline", *base) == 0
+    sidecar = out / "dataset.meta.json"
+    meta = json.loads(sidecar.read_text())
+    sidecar.write_text(json.dumps({**meta, "N": "6"}))
+    assert run_cli("report", *base) == 2
+    err = capsys.readouterr().err
+    assert "error[ParseError]" in err and str(sidecar) in err
+    sidecar.write_text(json.dumps({**meta, "N": 12}))
+    assert run_cli("report", *base) == 2
+    assert "train_report.meta.json" in capsys.readouterr().err
 
 
 def test_non_finite_json_constant_is_parse_error(tmp_path, capsys):

@@ -5,10 +5,11 @@ from surrotest import dynsys
 from surrotest.dynsys import (FLOW_BURN_IN, FLOW_DT, MAP_BURN_IN,
                               NOISE_BURN_IN, FlowParams, MapParams,
                               NoiseParams, chua_nonlinearity,
-                              flow_derivative, load_realizations,
+                              flow_derivative, flow_rhs, load_realizations,
                               make_realizations, rk45_integrate,
                               save_realizations)
-from surrotest.errors import (DivergenceError, LengthError, ParameterError)
+from surrotest.errors import (DivergenceError, LengthError, ParameterError,
+                              StiffnessError)
 from surrotest.seeding import stage_seed, substream
 
 
@@ -119,6 +120,34 @@ def test_flow_derivative_unknown_system():
         flow_derivative("duffing", [0.0, 0.0, 0.0])
 
 
+def reference_derivative(system, state, p=FlowParams()):
+    """The flow equations as plain allocating expressions."""
+    x, y, z = state[..., 0], state[..., 1], state[..., 2]
+    if system == "lorenz":
+        parts = (p.lorenz_sigma * (y - x), x * (p.lorenz_rho - z) - y,
+                 x * y - p.lorenz_beta * z)
+    elif system == "rossler":
+        parts = (-y - z, x + p.rossler_a * y,
+                 p.rossler_b + z * (x - p.rossler_c))
+    else:
+        fx = chua_nonlinearity(x, p.chua_m0, p.chua_m1)
+        parts = (p.chua_alpha * (y - x - fx), x - y + z, -p.chua_beta * y)
+    return np.stack(parts, axis=-1)
+
+
+@pytest.mark.parametrize("system", ["lorenz", "rossler", "chua"])
+def test_flow_kernel_writes_the_derivative_bytes(system):
+    # The integrator's in-place kernel, the public derivative and the
+    # plain equations agree to the bit, on a batch and on one state.
+    rng = np.random.default_rng(7)
+    for state in (rng.normal(scale=5.0, size=(16, 3)),
+                  rng.normal(scale=5.0, size=3)):
+        out = np.full_like(state, np.nan)
+        flow_rhs(system)(0.0, state, out)
+        assert out.tobytes() == flow_derivative(system, state).tobytes()
+        assert out.tobytes() == reference_derivative(system, state).tobytes()
+
+
 def test_flow_derivative_batched():
     states = np.random.default_rng(0).normal(size=(5, 3))
     batched = flow_derivative("lorenz", states)
@@ -155,14 +184,14 @@ def test_chua_nonlinearity_odd_and_piecewise_slopes():
 # ---------------------------------------------------------------------------
 
 def test_rk45_stationary_point():
-    f = lambda t, y: np.zeros_like(y)
+    f = lambda t, y, out: out.fill(0.0)
     y0 = np.array([1.0, -2.0, 0.5])
     _, states = rk45_integrate(f, y0, t_end=5.0, dt_sample=1.0)
     assert np.array_equal(states, np.tile(y0, (5, 1)))
 
 
 def test_rk45_exponential_growth():
-    f = lambda t, y: y
+    f = lambda t, y, out: np.copyto(out, y)
     _, states = rk45_integrate(f, np.array([1.0]), t_end=1.0, dt_sample=1.0,
                                rel_tol=1e-9, abs_tol=1e-12)
     assert states[-1][0] == pytest.approx(np.e, abs=1e-6)
@@ -170,7 +199,7 @@ def test_rk45_exponential_growth():
 
 @pytest.mark.parametrize("rel_tol", [1e-6, 1e-9])
 def test_rk45_local_accuracy(rel_tol):
-    f = lambda t, y: y
+    f = lambda t, y, out: np.copyto(out, y)
     _, states = rk45_integrate(f, np.array([1.0]), t_end=1.0, dt_sample=1.0,
                                rel_tol=rel_tol, abs_tol=1e-14)
     rel_err = abs(states[-1][0] - np.e) / np.e
@@ -178,7 +207,7 @@ def test_rk45_local_accuracy(rel_tol):
 
 
 def test_rk45_halving_tolerance_never_hurts():
-    f = lambda t, y: y
+    f = lambda t, y, out: np.copyto(out, y)
     errors = []
     for rel_tol in (1e-6, 5e-7, 2.5e-7, 1.25e-7):
         _, states = rk45_integrate(f, np.array([1.0]), t_end=1.0,
@@ -188,16 +217,20 @@ def test_rk45_halving_tolerance_never_hurts():
     assert all(b <= a for a, b in zip(errors, errors[1:]))
 
 
+def harmonic(t, y, out):
+    out[..., 0] = y[..., 1]
+    out[..., 1] = -y[..., 0]
+
+
 def test_rk45_harmonic_energy_conserved():
-    f = lambda t, y: np.stack([y[..., 1], -y[..., 0]], axis=-1)
-    _, states = rk45_integrate(f, np.array([1.0, 0.0]), t_end=100.0,
+    _, states = rk45_integrate(harmonic, np.array([1.0, 0.0]), t_end=100.0,
                                dt_sample=1.0, rel_tol=1e-9, abs_tol=1e-12)
     energy = states[:, 0] ** 2 + states[:, 1] ** 2
     assert np.max(np.abs(energy - 1.0)) < 1e-6
 
 
 def test_rk45_validates_arguments():
-    f = lambda t, y: y
+    f = lambda t, y, out: np.copyto(out, y)
     with pytest.raises(ParameterError):
         rk45_integrate(f, np.array([1.0]), t_end=0.0, dt_sample=1.0)
     with pytest.raises(ParameterError):
@@ -208,7 +241,8 @@ def test_rk45_validates_arguments():
 
 
 def test_rk45_divergence_raises():
-    f = lambda t, y: 30.0 * y  # runs smoothly past the escape bound
+    # Runs smoothly past the escape bound.
+    f = lambda t, y, out: np.multiply(30.0, y, out=out)
     with pytest.raises(DivergenceError):
         rk45_integrate(f, np.array([2.0]), t_end=2.0, dt_sample=2.0)
 
@@ -216,7 +250,7 @@ def test_rk45_divergence_raises():
 def test_rk45_divergence_names_the_row():
     # Row 1 grows past the escape bound; rows 0 and 2 stay put.
     rates = np.array([[0.0], [30.0], [0.0]])
-    f = lambda t, y: rates * y
+    f = lambda t, y, out: np.multiply(rates, y, out=out)
     with pytest.raises(DivergenceError, match="row 1 diverged"):
         rk45_integrate(f, np.full((3, 1), 2.0), t_end=2.0, dt_sample=2.0)
 
@@ -225,11 +259,13 @@ def test_rk45_rows_step_independently():
     # Each row of a batch gets the bytes it gets when integrated alone,
     # whatever the step sizes the other rows need.
     rates = np.array([-1.0, 3.0, -40.0])
-    together = rk45_integrate(lambda t, y: rates[:, None] * y,
-                              np.ones((3, 1)), t_end=2.0, dt_sample=0.25)[1]
+    together = rk45_integrate(
+        lambda t, y, out: np.multiply(rates[:, None], y, out=out),
+        np.ones((3, 1)), t_end=2.0, dt_sample=0.25)[1]
     for i, rate in enumerate(rates):
-        alone = rk45_integrate(lambda t, y: rate * y, np.ones(1),
-                               t_end=2.0, dt_sample=0.25)[1]
+        alone = rk45_integrate(
+            lambda t, y, out: np.multiply(rate, y, out=out),
+            np.ones(1), t_end=2.0, dt_sample=0.25)[1]
         assert np.array_equal(together[:, i], alone)
 
 
@@ -241,9 +277,9 @@ def test_rk45_rows_walk_their_own_sample_grids():
     def count_calls(rate_column, y0):
         calls = []
 
-        def f(t, y):
+        def f(t, y, out):
             calls.append(1)
-            return rate_column * y
+            np.multiply(rate_column, y, out=out)
 
         rk45_integrate(f, y0, t_end=2.0, dt_sample=0.25)
         return len(calls)
@@ -253,9 +289,13 @@ def test_rk45_rows_walk_their_own_sample_grids():
     assert together == max(alone) == 1321
 
 
+def decay(t, y, out):
+    np.negative(y, out=out)
+
+
 def test_rk45_empty_batch_has_empty_samples():
-    times, states = rk45_integrate(lambda t, y: -y, np.zeros((0, 3)),
-                                   t_end=1.0, dt_sample=0.25)
+    times, states = rk45_integrate(decay, np.zeros((0, 3)), t_end=1.0,
+                                   dt_sample=0.25)
     assert times.tolist() == [0.25, 0.5, 0.75, 1.0]
     assert states.shape == (4, 0, 3)
 
@@ -263,7 +303,7 @@ def test_rk45_empty_batch_has_empty_samples():
 def test_rk45_sample_times_that_round_to_the_start():
     # Below the spacing of floats near t0, the first sample times round to
     # t0 itself: each row takes them as its initial state, then steps on.
-    times, states = rk45_integrate(lambda t, y: -y, np.ones((2, 1)),
+    times, states = rk45_integrate(decay, np.ones((2, 1)),
                                    t_end=1.0 + 4.4e-16, dt_sample=1e-17,
                                    t0=1.0)
     at_start = times == 1.0
@@ -275,10 +315,38 @@ def test_rk45_sample_times_that_round_to_the_start():
 def test_rk45_finite_time_blowup_underflows():
     # dy/dt = y^2 from y0 = 2 blows up at t = 0.5; the controller chases
     # it until the step size hits the floor.
-    from surrotest.errors import StiffnessError
-    f = lambda t, y: y * y
+    f = lambda t, y, out: np.multiply(y, y, out=out)
     with pytest.raises((StiffnessError, DivergenceError)):
         rk45_integrate(f, np.array([2.0]), t_end=2.0, dt_sample=2.0)
+
+
+def test_rk45_retries_a_non_finite_stage():
+    # Exact decay never leaves [0, 1], so only an over-long trial step
+    # takes a stage state above 1: row 0's first trial step, 10 / rate.
+    # The RHS answers such a state with inf, and the integrator rejects
+    # that row's step and retries it with a smaller one.
+    rates = np.array([[1000.0], [1.0]])
+    wild = []
+
+    def f(t, y, out):
+        np.multiply(-rates, y, out=out)
+        over = np.abs(y) > 1.0
+        wild.append(over.any())
+        out[over] = np.inf
+
+    times, states = rk45_integrate(f, np.ones((2, 1)), t_end=1.0,
+                                   dt_sample=0.25)
+    assert any(wild)
+    assert np.isfinite(states).all()
+    assert np.abs(states[:, 0, 0]).max() < 1e-9
+    assert np.allclose(states[:, 1, 0], np.exp(-times), rtol=1e-8, atol=0.0)
+    # An RHS that is never finite is retried down to the step floor.
+    with pytest.raises(StiffnessError, match="step size underflow"):
+        rk45_integrate(lambda t, y, out: out.fill(np.inf), np.ones((2, 1)),
+                       t_end=1.0, dt_sample=0.25)
+    # The public derivative still refuses such a state.
+    with pytest.raises(ParameterError, match="must be finite"):
+        flow_derivative("lorenz", [1.0, np.inf, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +492,7 @@ def test_loose_burn_in_samples_the_attractor_distribution(system):
     # Two-sample KS at the 1% level, 1.63 * sqrt(2 / N); the seeds are fixed.
     n = 200
     loose = batch(system, 8, n, seed=1)[:, 0]
-    f = lambda t, y: flow_derivative(system, y)
+    f = flow_rhs(system)
     y0 = dynsys._flow_initial_conditions(system, n, seed=2)
     _, burn = rk45_integrate(f, y0, t_end=FLOW_BURN_IN,
                              dt_sample=FLOW_BURN_IN, rel_tol=1e-6,
@@ -440,13 +508,18 @@ def test_lorenz_burn_in_rhs_budget(monkeypatch):
     # the burn-in runs at the Dormand-Prince pair's standard tolerances,
     # and no row waits at a sample time for the others.
     calls = []
-    real = dynsys.flow_derivative
+    real = dynsys.flow_rhs
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counting_rhs(*args, **kwargs):
+        rhs = real(*args, **kwargs)
 
-    monkeypatch.setattr(dynsys, "flow_derivative", counting)
+        def counting(t, y, out):
+            calls.append(1)
+            rhs(t, y, out)
+
+        return counting
+
+    monkeypatch.setattr(dynsys, "flow_rhs", counting_rhs)
     make_realizations("lorenz", 64, 16, seed=stage_seed(0, "generation"))
     assert len(calls) == 14_156
 
