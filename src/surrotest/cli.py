@@ -281,7 +281,8 @@ def cmd_train(cfg: RunConfig, input_path=None, dataset=None) -> rnn.TrainReport:
     if report.representative_epoch is not None:
         rnn.save_model(outdir / "model_representative.json",
                        snapshots[report.representative_epoch])
-    rnn.save_report(outdir / "train_report.csv", report)
+    rnn.save_report(outdir / "train_report.csv", report,
+                    extra_meta={"N": dataset.n_pairs})
     return report
 
 
@@ -292,7 +293,10 @@ def verdict_from_report(report: rnn.TrainReport, alpha: float = 0.05) -> dict:
     n = report.n_test_items
     if n < 1:
         raise ParameterError("report does not record the test item count")
-    successes = int(np.floor(acc * n + 0.5))
+    # The raw test accuracy at the representative epoch is that epoch's
+    # snapshot evaluated on the test split, so times n it is the exact
+    # count of correct items; the smoothed ``acc`` is not a count.
+    successes = round(report.test_acc[epoch - 1] * n)
     result = stats.binomial_test(successes, n, alpha=alpha)
     return {
         "representative_epoch": epoch,
@@ -307,21 +311,27 @@ def verdict_from_report(report: rnn.TrainReport, alpha: float = 0.05) -> dict:
 
 
 def _check_test_items(report: rnn.TrainReport, source: Path) -> None:
-    """A report with a dataset sidecar beside it must count the test items
-    that the dataset's split gives: the binomial test's cost grows with
-    ``n_test_items``, so an edited count could stall ``report``."""
-    dataset = source.with_name("dataset.csv")
-    dataset_meta = meta_path(dataset)
-    n_pairs = read_meta(dataset).get("N")
+    """A report must count the test items that the split of its dataset's
+    N pairs gives: the binomial test's cost grows with ``n_test_items``, so
+    an edited count could stall ``report``.  N comes from the dataset
+    sidecar beside the report or, without one, from the report's own
+    sidecar, where ``train`` records it."""
+    holder = source.with_name("dataset.csv")
+    n_pairs = read_meta(holder).get("N")
+    if n_pairs is None:
+        holder = source
+        n_pairs = read_meta(holder).get("N")
     if n_pairs is None:
         return
-    if not isinstance(n_pairs, int):
-        raise ParseError(f"{dataset_meta}: N is not a pair count: {n_pairs!r}")
+    if isinstance(n_pairs, bool) or not isinstance(n_pairs, int):
+        raise ParseError(f"{meta_path(holder)}: N is not a pair count: "
+                         f"{n_pairs!r}")
     want = 2 * split_sizes(n_pairs)[0]
     if report.n_test_items != want:
         raise ParseError(f"{meta_path(source)}: n_test_items is "
                          f"{report.n_test_items}, but the split of the "
-                         f"{n_pairs} pairs in {dataset_meta} gives {want}")
+                         f"{n_pairs} pairs in {meta_path(holder)} gives "
+                         f"{want}")
 
 
 def cmd_report(cfg: RunConfig, input_path=None, report=None) -> dict:

@@ -16,11 +16,12 @@ step-size control and its own sample grid, so realization i of a batch
 has the same samples whatever N is.  A flow's burn-in runs at looser
 tolerances than its sampled segment: it only has to land on the attractor.
 
-Each flow's equations are written once, as the in-place kernel
-``rhs(t, y, out)`` that ``flow_rhs`` returns.  ``rk45_integrate`` calls it
-on stage buffers that it allocates once per call, and it rejects and
-retries a row whose trial step leaves a non-finite stage.
-``flow_derivative`` checks its state, then calls the same kernel.
+Each flow's equations are written once, as the in-place autonomous kernel
+``rhs(y, out)`` that ``flow_rhs`` returns.  ``rk45_integrate`` integrates a
+(rows, state) batch from t = 0: it calls the kernel on stage buffers that
+it allocates once per call, and it rejects and retries a row whose trial
+step leaves a non-finite stage.  ``flow_derivative`` checks its state,
+then calls the same kernel.
 """
 
 from __future__ import annotations
@@ -127,17 +128,17 @@ def chua_nonlinearity(x, m0: float, m1: float):
 
 
 def flow_rhs(system: str, params: FlowParams | None = None):
-    """In-place right-hand side ``rhs(t, y, out)`` of the named flow, the
+    """In-place right-hand side ``rhs(y, out)`` of the named flow, the
     form ``rk45_integrate`` calls.
 
     ``rhs`` writes dy/dt at the state ``y`` (a 3-vector or an (N, 3)
     batch) into ``out``, an array of the same shape that does not overlap
     ``y``.  It checks nothing: a non-finite ``y`` gives a non-finite
-    ``out``.  The flows are autonomous, so ``t`` is ignored.
+    ``out``.  The flows are autonomous, so time is no argument.
     """
     p = FlowParams() if params is None else params
     if system == "lorenz":
-        def rhs(t, state, out):
+        def rhs(state, out):
             x, y, z = state[..., 0], state[..., 1], state[..., 2]
             dx, dy, dz = out[..., 0], out[..., 1], out[..., 2]
             np.subtract(y, x, out=dx)             # dx = sigma (y - x)
@@ -148,7 +149,7 @@ def flow_rhs(system: str, params: FlowParams | None = None):
             np.multiply(x, y, out=dz)             # dz = x y - beta z
             dz -= p.lorenz_beta * z
     elif system == "rossler":
-        def rhs(t, state, out):
+        def rhs(state, out):
             x, y, z = state[..., 0], state[..., 1], state[..., 2]
             dx, dy, dz = out[..., 0], out[..., 1], out[..., 2]
             np.negative(y, out=dx)                # dx = -y - z
@@ -159,7 +160,7 @@ def flow_rhs(system: str, params: FlowParams | None = None):
             dz *= z
             dz += p.rossler_b
     elif system == "chua":
-        def rhs(t, state, out):
+        def rhs(state, out):
             x, y, z = state[..., 0], state[..., 1], state[..., 2]
             dx, dy, dz = out[..., 0], out[..., 1], out[..., 2]
             np.subtract(y, x, out=dx)             # dx = alpha (y - x - g(x))
@@ -186,7 +187,7 @@ def flow_derivative(system: str, state, params: FlowParams | None = None) -> np.
     if not np.isfinite(state).all():
         raise ParameterError("state must be finite")
     out = np.empty_like(state)
-    flow_rhs(system, params)(0.0, state, out)
+    flow_rhs(system, params)(state, out)
     return out
 
 
@@ -194,7 +195,6 @@ def flow_derivative(system: str, state, params: FlowParams | None = None) -> np.
 # s from stages 0..s-1; row 6 equals B5, so the stage-6 state is the
 # fifth-order step and its derivative is k0 of the next step (first same as
 # last).
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _DP_A = np.array([
     [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
     [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
@@ -213,96 +213,80 @@ _MAX_FACTOR = 5.0
 _SAFETY = 0.9
 
 
-def _row_name(row: int, lead: tuple) -> str:
-    if not lead:
-        return "trajectory"
-    return "row " + ", ".join(str(i) for i in np.unravel_index(row, lead))
-
-
 # A wild trial step may overflow or leave a stage state that is not finite;
 # that row is retried, so no floating-point warning in a call is news.
 @np.errstate(all="ignore")
 def rk45_integrate(f, y0, t_end: float, dt_sample: float,
-                   rel_tol: float = 1e-9, abs_tol: float = 1e-12,
-                   t0: float = 0.0):
+                   rel_tol: float = 1e-9, abs_tol: float = 1e-12):
     """Adaptive embedded Runge-Kutta 5(4) with sampling on a fixed grid.
 
-    Integrates dy/dt = f(t, y) from ``t0`` and records the state at every
-    positive multiple of ``dt_sample`` up to ``t_end`` (steps are clamped
-    to sample boundaries, so samples carry no interpolation error).
+    Integrates the autonomous system dy/dt = f(y) from t = 0 and records
+    the state at every positive multiple of ``dt_sample`` up to ``t_end``
+    (steps are clamped to sample boundaries, so samples carry no
+    interpolation error).
 
-    The last axis of ``y0`` is the state; every leading index is one
-    independent realization, a row.  Each row has its own time, step size,
-    accept/reject decision and place on the sample grid; the step control
-    uses the RMS over the state axis of the row's scaled error estimate.
-    A row that reaches a sample time records its state and heads for the
-    next one at once, and a row that has taken every sample rides along
-    with a zero step until the last row is done.  A row's samples
-    therefore depend on its own initial state only, not on the other
-    rows, and a 1-D ``y0`` is a single row.
+    ``y0`` is a (rows, state) batch; each row is one independent
+    realization.  Each row has its own time, step size, accept/reject
+    decision and place on the sample grid; the step control uses the RMS
+    over the state axis of the row's scaled error estimate.  A row that
+    reaches a sample time records its state and heads for the next one at
+    once, and a row that has taken every sample rides along with a zero
+    step until the last row is done.  A row's samples therefore depend on
+    its own initial state only, not on the other rows.
 
     Parameters
     ----------
     f : callable
-        In-place right-hand side ``f(t, y, out)``: it writes dy/dt at
-        ``y`` into ``out`` and its return value is ignored.  ``y`` and
-        ``out`` have the shape of ``y0`` (scalars are promoted to
-        shape-(1,) arrays) and ``t`` the shape ``y0.shape[:-1] + (1,)``:
-        one time per row, broadcasting against ``y``.  All three are
-        buffers that the next stage overwrites, so ``f`` must not keep
-        them.  ``f`` need not check ``y``: a trial step may give a stage
-        state or derivative that is not finite, and the integrator then
-        rejects that row's step and retries it with a smaller one.
+        In-place right-hand side ``f(y, out)``: it writes dy/dt at ``y``
+        into ``out`` and its return value is ignored.  ``y`` and ``out``
+        are (rows, state) buffers that the next stage overwrites, so ``f``
+        must not keep them.  ``f`` need not check ``y``: a trial step may
+        give a stage state or derivative that is not finite, and the
+        integrator then rejects that row's step and retries it with a
+        smaller one.
     y0 : array_like
-        Initial state: (3,) for one flow, (N, 3) for N realizations.
+        Initial states, one row each: (N, 3) for N realizations of a flow.
+        Any other number of axes is a ``ParameterError``.
 
     Returns
     -------
-    (times, states) : (ndarray of shape (m,), ndarray of shape (m, *y0.shape))
+    (times, states) : (ndarray of shape (m,), ndarray of shape (m, rows, state))
     """
-    if not (np.isfinite(t_end) and t_end > t0):
-        raise ParameterError(f"t_end must exceed t0, got {t_end}")
+    if not (np.isfinite(t_end) and t_end > 0):
+        raise ParameterError(f"t_end must be positive, got {t_end}")
     if not (np.isfinite(dt_sample) and dt_sample > 0):
         raise ParameterError(f"dt_sample must be positive, got {dt_sample}")
     if not (rel_tol > 0 and abs_tol > 0):
         raise ParameterError("tolerances must be positive")
 
-    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-    shape, lead = y0.shape, y0.shape[:-1]
-    y = y0.reshape(-1, shape[-1]).copy()  # (rows, state)
+    y = np.array(y0, dtype=float)  # a copy: the loop steps it in place
+    if y.ndim != 2:
+        raise ParameterError(f"y0 must be a (rows, state) batch, "
+                             f"got shape {y.shape}")
     rows, dim = y.shape
-    span = t_end - t0
-    n_samples = int(np.floor(span / dt_sample + 1e-9))
+    n_samples = int(np.floor(t_end / dt_sample + 1e-9))
     if n_samples < 1:
         raise ParameterError("no sample times fall inside the integration span")
-    sample_times = t0 + dt_sample * np.arange(1, n_samples + 1)
-    h_floor = 1e-12 * span
+    sample_times = dt_sample * np.arange(1, n_samples + 1)
+    h_floor = 1e-12 * t_end
 
-    states = np.empty((n_samples,) + shape)
-    samples = states.reshape((n_samples,) + y.shape)  # (sample, row, state)
+    states = np.empty((n_samples, rows, dim))  # (sample, row, state)
 
     # Every trip of the loop below runs on these buffers and views, made
-    # once per call.  Stages k0..k6 live in one array, seen by f in the
-    # shape of y0, and the stage times and states in buffers f sees the
-    # same way.  Coefficients broadcast over rows and state and the
-    # products are summed in stage order; a matrix product may reorder
-    # that sum and change the rounding of every sample.
-    K = np.empty((7,) + y.shape)
-    K_f = K.reshape((7,) + shape)
-    t_shape = lead + (1,)
-    T = np.empty((7, rows))
-    T_f = T.reshape((7,) + t_shape)
+    # once per call.  Stages k0..k6 live in one array.  Coefficients
+    # broadcast over rows and state and the products are summed in stage
+    # order; a matrix product may reorder that sum and change the rounding
+    # of every sample.
+    K = np.empty((7, rows, dim))
     products = np.empty_like(K)
     y_stage = np.empty_like(y)
-    y_stage_f = y_stage.reshape(shape)
-    stages = [(_DP_A[s, :s, None, None], K[:s], products[:s], T_f[s], K_f[s])
+    stages = [(_DP_A[s, :s, None, None], K[:s], products[:s], K[s])
               for s in range(1, 7)]
-    C = _DP_C[:, None]
     E = _DP_E[:, None, None]
     err, scale, size = (np.empty_like(y) for _ in range(3))
     finite_cells = np.empty(y.shape, dtype=bool)
-    t = np.full(rows, float(t0))
-    h = np.full(rows, min(dt_sample, span) * 0.01)
+    t = np.zeros(rows)
+    h = np.full(rows, min(dt_sample, t_end) * 0.01)
     rest, step, norm, growth = (np.empty(rows) for _ in range(4))
     active, stalled, finite, accept, reached = (
         np.empty(rows, dtype=bool) for _ in range(5))
@@ -314,7 +298,7 @@ def rk45_integrate(f, y0, t_end: float, dt_sample: float,
     taken = np.zeros(rows, dtype=np.intp)
     targets = np.append(sample_times, -np.inf)
     t_target = targets[taken]
-    f(t.reshape(t_shape), y.reshape(shape), K_f[0])
+    f(y, K[0])
     while True:
         np.subtract(t_target, t, out=rest)
         np.greater(rest, 0.0, out=active)
@@ -323,7 +307,7 @@ def rk45_integrate(f, y0, t_end: float, dt_sample: float,
             # sample and heads for the next; a finished row stays done.
             arrived = ~active & (rest > -np.inf)
             if arrived.any():
-                samples[taken[arrived], arrived] = y[arrived]
+                states[taken[arrived], arrived] = y[arrived]
                 taken += arrived
                 t_target = targets[taken]
                 continue
@@ -334,19 +318,14 @@ def rk45_integrate(f, y0, t_end: float, dt_sample: float,
         stalled &= active
         if stalled.any():
             r = int(np.argmax(stalled))
-            raise StiffnessError(
-                f"{_row_name(r, lead)}: step size underflow ({h[r]:.3e}) "
-                f"at t={t[r]:.6g}; the problem looks stiff"
-            )
-        step.fill(0.0)  # rows that are done stay put
-        np.copyto(step, h, where=active)
-        np.multiply(C, step, out=T)
-        T += t
-        for a, k_prev, prod, t_s, k_s in stages:
+            raise StiffnessError(f"row {r}: step size underflow ({h[r]:.3e}) "
+                                 f"at t={t[r]:.6g}; the problem looks stiff")
+        np.multiply(h, active, out=step)  # rows that are done stay put
+        for a, k_prev, prod, k_s in stages:
             np.add.reduce(np.multiply(a, k_prev, out=prod), out=y_stage)
             y_stage *= step_col
             y_stage += y
-            f(t_s, y_stage_f, k_s)
+            f(y_stage, k_s)
         # y_stage now holds the stage-6 state: the fifth-order step.
         # A non-finite row is a wild trial step, not necessarily a lost
         # trajectory: it is retried with a smaller step.
@@ -377,10 +356,8 @@ def rk45_integrate(f, y0, t_end: float, dt_sample: float,
             escaped = accept & (size.max(axis=-1) > ESCAPE_STATE_LIMIT)
             if escaped.any():
                 r = int(np.argmax(escaped))
-                raise DivergenceError(
-                    f"{_row_name(r, lead)} diverged near t={t[r]:.6g}",
-                    time=float(t[r])
-                )
+                raise DivergenceError(f"row {r} diverged near t={t[r]:.6g}",
+                                      time=float(t[r]))
         # Step-size factor per row from its error norm: 0.9 * norm **
         # -0.2, clipped to [_MIN_FACTOR, _MAX_FACTOR], so _MAX_FACTOR at
         # norm 0; _MIN_FACTOR for a row whose trial step is not finite.

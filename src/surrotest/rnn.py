@@ -454,8 +454,10 @@ def save_report(path, report: TrainReport, extra_meta: dict | None = None) -> No
 
 def load_report(path) -> TrainReport:
     """The report saved by ``save_report``; a malformed CSV row, a sidecar
-    field of the wrong type, or a representative epoch or accuracy other
-    than the one its curves give raises ``ParseError`` naming the file."""
+    field of the wrong type, a raw test accuracy that is not a count of
+    the sidecar's ``n_test_items``, or a representative epoch or accuracy
+    other than the one its curves give raises ``ParseError`` naming the
+    file."""
     report = TrainReport()
     rows = read_table(path)
     header = next(rows, None)
@@ -463,10 +465,12 @@ def load_report(path) -> TrainReport:
         raise ParseError(f"{path} is not a training report", line=1)
     curves = (report.train_loss, report.val_loss, report.test_acc,
               report.train_loss_s5, report.val_loss_s5, report.test_acc_s5)
+    lines = []
     for line, row in rows:
         parse_cells(row[:1], path, line, kind=int)
         for curve, v in zip(curves, parse_cells(row[1:], path, line)):
             curve.append(v)
+        lines.append(line)
     meta = read_meta(path)
     for key, allowed in _REPORT_META_TYPES.items():
         value = meta.get(key)
@@ -474,7 +478,14 @@ def load_report(path) -> TrainReport:
                             or not isinstance(value, allowed)):
             raise ParseError(f"{meta_path(path)}: {key} has the wrong "
                              f"type: {json.dumps(value)}")
-    report.n_test_items = meta.get("n_test_items", 0)
+    n = report.n_test_items = meta.get("n_test_items", 0)
+    if n > 0:
+        for line, acc in zip(lines, report.test_acc):
+            k = round(acc * n)
+            if not (0 <= k <= n and k / n == acc):
+                raise ParseError(f"{path}: line {line}: test_acc {acc!r} is "
+                                 f"not a count of the {n} test items in "
+                                 f"{meta_path(path)}", line=line)
     report.seeds = meta.get("seeds", {})
     report.hyperparams = meta.get("hyperparams", {})
     report.representative_epoch = meta.get("representative_epoch")

@@ -209,16 +209,17 @@ def test_criterion_6_numerical_kernels():
         worst_pv = max(worst_pv, abs(np.sum(np.abs(x) ** 2)
                                      - np.sum(dft(x).amplitude_squared) / L))
     # Integrator oracles.
-    f_exp = lambda t, y, out: np.copyto(out, y)
-    _, states = rk45_integrate(f_exp, np.array([1.0]), 1.0, 1.0)
-    e_err = abs(states[-1][0] - math.e)
+    f_exp = lambda y, out: np.copyto(out, y)
+    _, states = rk45_integrate(f_exp, np.ones((1, 1)), 1.0, 1.0)
+    e_err = abs(states[-1, 0, 0] - math.e)
 
-    def f_osc(t, y, out):
-        out[..., 0] = y[..., 1]
-        out[..., 1] = -y[..., 0]
+    def f_osc(y, out):
+        out[:, 0] = y[:, 1]
+        out[:, 1] = -y[:, 0]
 
-    _, osc = rk45_integrate(f_osc, np.array([1.0, 0.0]), 100.0, 1.0,
+    _, osc = rk45_integrate(f_osc, np.array([[1.0, 0.0]]), 100.0, 1.0,
                             rel_tol=1e-9, abs_tol=1e-12)
+    osc = osc[:, 0]
     energy_err = float(np.max(np.abs(osc[:, 0] ** 2 + osc[:, 1] ** 2 - 1.0)))
     # Gradient check against central finite differences.
     from surrotest.rnn import bptt_gradients, init_model

@@ -2,12 +2,16 @@ import errno
 import json
 import os
 import shlex
+import subprocess
+import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from surrotest import series, spectral
+import surrotest
+from surrotest import rnn, series, spectral
 from surrotest.cli import build_parser, main, resolve_config
 from surrotest.dataset import load_dataset, standardize
 from surrotest.dynsys import load_realizations, make_realizations
@@ -180,6 +184,57 @@ def test_report_needs_a_pair_count_beside_it(tmp_path, capsys):
     sidecar.write_text(json.dumps({**meta, "N": 12}))
     assert run_cli("report", *base) == 2
     assert "train_report.meta.json" in capsys.readouterr().err
+
+
+def test_copied_report_checks_its_recorded_pair_count(tmp_path):
+    # train records the dataset's pair count in the report's sidecar, so a
+    # report copied without dataset.meta.json still bounds n_test_items,
+    # and an edited count fails at once instead of stalling the binomial
+    # test.
+    out = tmp_path / "run"
+    base = ["--system", "logistic", "--seed", "4", "--out", out] + TINY
+    assert run_cli("pipeline", *base) == 0
+    copy = tmp_path / "copy"
+    copy.mkdir()
+    for name in ("train_report.csv", "train_report.meta.json"):
+        (copy / name).write_bytes((out / name).read_bytes())
+    sidecar = copy / "train_report.meta.json"
+    meta = json.loads(sidecar.read_text())
+    assert meta["N"] == 6
+    sidecar.write_text(json.dumps({**meta, "n_test_items": 1_000_000}))
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(surrotest.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "surrotest.cli", "report",
+         "--from", str(copy / "train_report.csv"), "--out", str(copy)],
+        env=env, capture_output=True, text=True, timeout=10)
+    assert done.returncode == 2
+    assert "n_test_items is 1000000, but the split of the 6 pairs" in (
+        done.stderr)
+
+
+def test_verdict_counts_the_representative_models_correct_items(tmp_path,
+                                                                capsys):
+    # At the representative epoch the smoothed accuracy, 0.5, would round
+    # to 2 of the 4 test items; that epoch's model got 3 right.
+    report = rnn.TrainReport(
+        train_loss=[0.7, 0.6], val_loss=[0.7, 0.6], test_acc=[0.25, 0.75],
+        train_loss_s5=[0.7, 0.65], val_loss_s5=[0.7, 0.65],
+        test_acc_s5=[0.25, 0.5], representative_epoch=2,
+        representative_accuracy=0.5, n_test_items=4)
+    path = tmp_path / "train_report.csv"
+    rnn.save_report(path, report, extra_meta={"N": 8})
+    base = ["report", "--from", path, "--out", tmp_path]
+    assert run_cli(*base) == 0
+    verdict = json.loads((tmp_path / "verdict.json").read_text())
+    assert verdict["representative_accuracy"] == 0.5
+    assert verdict["successes"] == 3
+    # A raw accuracy that counts no whole number of items is refused.
+    rnn.save_report(path, replace(report, test_acc=[0.25, 0.7]),
+                    extra_meta={"N": 8})
+    assert run_cli(*base) == 2
+    err = capsys.readouterr().err
+    assert "error[ParseError]" in err and "test_acc 0.7 is not" in err
 
 
 def test_non_finite_json_constant_is_parse_error(tmp_path, capsys):

@@ -602,6 +602,22 @@ def test_report_sidecar_must_agree_with_its_curves(tmp_path, toy_dataset):
     assert load_report(path).representative_accuracy == acc
 
 
+def test_report_test_acc_must_count_the_test_items(tmp_path):
+    # Each raw test accuracy is k correct items out of n_test_items.
+    report = TrainReport(
+        train_loss=[0.7], val_loss=[0.7], test_acc=[0.75], train_loss_s5=[0.7],
+        val_loss_s5=[0.7], test_acc_s5=[0.75], representative_epoch=1,
+        representative_accuracy=0.75, n_test_items=4)
+    path = tmp_path / "report.csv"
+    save_report(path, report)
+    assert load_report(path) == report
+    for acc in (0.3, 1.25):
+        save_report(path, replace(report, test_acc=[acc]))
+        with pytest.raises(ParseError, match=f"line 2: test_acc {acc} is not "
+                                             "a count of the 4 test items"):
+            load_report(path)
+
+
 def test_report_bad_header_is_parse_error(tmp_path):
     path = tmp_path / "report.csv"
     path.write_text("epoch,loss\n1,0.5\n")
