@@ -315,14 +315,18 @@ def _check_test_items(report: rnn.TrainReport, source: Path) -> None:
     N pairs gives: the binomial test's cost grows with ``n_test_items``, so
     an edited count could stall ``report``.  N comes from the dataset
     sidecar beside the report or, without one, from the report's own
-    sidecar, where ``train`` records it."""
+    sidecar, where ``train`` records it; a report with neither is
+    refused."""
     holder = source.with_name("dataset.csv")
     n_pairs = read_meta(holder).get("N")
     if n_pairs is None:
         holder = source
         n_pairs = read_meta(holder).get("N")
     if n_pairs is None:
-        return
+        raise ParseError(f"{meta_path(source)} records no pair count N and "
+                         f"no {meta_path(source.with_name('dataset.csv'))} "
+                         "lies beside it, so n_test_items cannot be "
+                         "checked; run train again")
     if isinstance(n_pairs, bool) or not isinstance(n_pairs, int):
         raise ParseError(f"{meta_path(holder)}: N is not a pair count: "
                          f"{n_pairs!r}")

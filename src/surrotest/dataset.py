@@ -30,6 +30,10 @@ VAL_FRAC_OF_TRAIN = 0.30
 LABEL_ORIGINAL = 1
 LABEL_SURROGATE = 0
 
+# Samples per block when a record is parsed or filtered: the most that is
+# held as Python floats (about 32 bytes each) at any one time.
+BLOCK = 1 << 14
+
 
 # ---------------------------------------------------------------------------
 # Record ingestion
@@ -39,18 +43,25 @@ def load_series(path) -> np.ndarray:
     """Read a record from disk: one numeral per line, comma-separated
     numerals, or both, in file order.  Blank lines are skipped; anything
     else that does not parse raises with its 1-based line number.
+
+    Parsed values go into float64 blocks of about ``BLOCK`` samples, so
+    only the current block (or line, if longer) is held as Python floats.
     """
     path = Path(path)
-    values = []
+    blocks, values = [], []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if not text:
                 continue
             values += parse_cells(text.split(","), path, lineno)
-    if not values:
+            if len(values) >= BLOCK:
+                blocks.append(np.array(values))
+                values = []
+    blocks.append(np.array(values))
+    if blocks[0].size == 0:
         raise LengthError(f"{path} contains no samples")
-    return np.array(values)
+    return np.concatenate(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -102,18 +113,23 @@ def _iir_forward(b: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Single causal pass, direct form II transposed.
 
     The recurrence runs on Python floats, which round like numpy float64
-    scalars but cost far less per operation.
+    scalars but cost far less per operation.  It walks the record in
+    blocks of ``BLOCK`` samples, so only one block is held as Python
+    floats at a time.
     """
     order = b.size - 1
     b, a = b.tolist(), a.tolist()
     z = [0.0] * order
     y = np.empty_like(x)
-    for i, xi in enumerate(x.tolist()):
-        yi = b[0] * xi + z[0]
-        for k in range(order - 1):
-            z[k] = b[k + 1] * xi + z[k + 1] - a[k + 1] * yi
-        z[order - 1] = b[order] * xi - a[order] * yi
-        y[i] = yi
+    for lo in range(0, x.size, BLOCK):
+        out = []
+        for xi in x[lo:lo + BLOCK].tolist():
+            yi = b[0] * xi + z[0]
+            for k in range(order - 1):
+                z[k] = b[k + 1] * xi + z[k + 1] - a[k + 1] * yi
+            z[order - 1] = b[order] * xi - a[order] * yi
+            out.append(yi)
+        y[lo:lo + BLOCK] = out
     return y
 
 
@@ -294,7 +310,7 @@ def load_dataset(path) -> LabeledDataset:
         pair_id.append(pid)
         y.append(label)
         split.append(row[2])
-        X.append(parse_cells(row[3:], path, line))
+        X.append(np.array(parse_cells(row[3:], path, line)))
         members.setdefault(pid, []).append(label)
     if not X:
         raise LengthError(f"{path} contains no items")

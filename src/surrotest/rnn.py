@@ -34,6 +34,10 @@ SMOOTH_WINDOW = 5
 
 _P_FLOOR = 1e-12
 
+# Hidden states held at a time by the evaluation passes, which need p but
+# not the trace that backpropagation reads.
+EVAL_WINDOW = 16
+
 
 # ---------------------------------------------------------------------------
 # Model
@@ -123,32 +127,42 @@ def _sigmoid(z):
     return np.where(pos, 1.0 / d, e / d)
 
 
-def _forward_batch(model: RnnModel, X: np.ndarray):
+def _forward_batch(model: RnnModel, X: np.ndarray, keep_trace: bool = True):
     """Probabilities and the full hidden trace for a (B, L) batch.
 
     h_0 = 0; h_t = ReLU(w_in * x_t + W_rec h_{t-1} + b_h);
     p = sigmoid(w_out . h_L + b_out).
     Returns (p (B,), trace (L+1, B, H)); trace[0] is the zero initial state.
+    Without ``keep_trace`` the sweep holds only ``EVAL_WINDOW`` + 1 states
+    at a time and returns (p, None), with the same bits of p.
     """
     B, L = X.shape
     H = model.hidden_size
-    # The input and bias drive of every step goes straight into trace[1:];
-    # each step then adds its recurrent term and applies the ReLU in place.
-    trace = np.empty((L + 1, B, H))
-    trace[0] = 0.0
-    np.multiply(X.T[:, :, None], model.w_in, out=trace[1:])
-    trace[1:] += model.b_h
+    W = L if keep_trace else min(L, EVAL_WINDOW)
+    # states[0] is the state before the window; the input and bias drive of
+    # each step of the window goes straight into states[1:], and each step
+    # then adds its recurrent term and applies the ReLU in place.
+    states = np.empty((W + 1, B, H))
+    states[0] = 0.0
     w_rec_t = model.w_rec.T.copy()
     rec = np.empty((B, H))
-    for h, h_next in zip(trace[:-1], trace[1:]):
-        np.dot(h, w_rec_t, out=rec)
-        h_next += rec
-        np.maximum(h_next, 0.0, out=h_next)
-    if not np.all(np.isfinite(trace)):
-        bad = np.where(~np.isfinite(trace).all(axis=(1, 2)))[0][0]
-        raise NumericError(f"non-finite hidden activation at step {int(bad)}")
-    logits = trace[L] @ model.w_out + model.b_out[0]
-    return _sigmoid(np.atleast_1d(logits)), trace
+    n = 0
+    for lo in range(0, L, max(W, 1)):
+        states[0] = states[n]
+        n = min(W, L - lo)
+        window = states[1:n + 1]
+        np.multiply(X.T[lo:lo + n, :, None], model.w_in, out=window)
+        window += model.b_h
+        for h, h_next in zip(states[:n], window):
+            np.dot(h, w_rec_t, out=rec)
+            h_next += rec
+            np.maximum(h_next, 0.0, out=h_next)
+        # Checked once per window, so the first bad step is named.
+        if not np.all(np.isfinite(window)):
+            bad = lo + 1 + np.where(~np.isfinite(window).all(axis=(1, 2)))[0][0]
+            raise NumericError(f"non-finite hidden activation at step {int(bad)}")
+    logits = states[n] @ model.w_out + model.b_out[0]
+    return _sigmoid(np.atleast_1d(logits)), (states if keep_trace else None)
 
 
 def _batch_loss(p: np.ndarray, y: np.ndarray) -> float:
@@ -272,7 +286,7 @@ def evaluate(model: RnnModel, items) -> float:
     X, y = _coerce_batch(items)
     if X.shape[0] == 0:
         raise LengthError("cannot evaluate on an empty item set")
-    p, _ = _forward_batch(model, X)
+    p, _ = _forward_batch(model, X, keep_trace=False)
     predicted = p >= 0.5
     return float(np.mean(predicted == (y == 1)))
 
@@ -369,7 +383,7 @@ def train(init_seed: int, dataset, epochs: int,
         if not np.isfinite(train_loss):
             raise TrainingError(f"training loss diverged at epoch {epoch}",
                                 epoch=epoch)
-        p_val, _ = _forward_batch(model, X_val)
+        p_val, _ = _forward_batch(model, X_val, keep_trace=False)
         report.train_loss.append(train_loss)
         report.val_loss.append(_batch_loss(p_val, y_val))
         report.test_acc.append(evaluate(model, (X_test, y_test)))

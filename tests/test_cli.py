@@ -204,13 +204,32 @@ def test_copied_report_checks_its_recorded_pair_count(tmp_path):
     sidecar.write_text(json.dumps({**meta, "n_test_items": 1_000_000}))
     env = {**os.environ,
            "PYTHONPATH": str(Path(surrotest.__file__).parents[1])}
-    done = subprocess.run(
-        [sys.executable, "-m", "surrotest.cli", "report",
-         "--from", str(copy / "train_report.csv"), "--out", str(copy)],
-        env=env, capture_output=True, text=True, timeout=10)
+
+    def report_copy():
+        return subprocess.run(
+            [sys.executable, "-m", "surrotest.cli", "report",
+             "--from", str(copy / "train_report.csv"), "--out", str(copy)],
+            env=env, capture_output=True, text=True, timeout=10)
+
+    done = report_copy()
     assert done.returncode == 2
     assert "n_test_items is 1000000, but the split of the 6 pairs" in (
         done.stderr)
+    # Without a recorded N nothing bounds the count, so report is refused.
+    # At an accuracy of one half the binomial test of 1,000,000 items would
+    # run for minutes.
+    report = rnn.load_report(out / "train_report.csv")
+    half = [0.5] * len(report.test_acc)
+    rnn.save_report(copy / "train_report.csv",
+                    replace(report, test_acc=half, test_acc_s5=half,
+                            representative_accuracy=0.5,
+                            n_test_items=1_000_000))
+    assert "N" not in json.loads(sidecar.read_text())
+    done = report_copy()
+    assert done.returncode == 2
+    assert "error[ParseError]" in done.stderr
+    assert (f"{sidecar} records no pair count N" in done.stderr
+            and "run train again" in done.stderr)
 
 
 def test_verdict_counts_the_representative_models_correct_items(tmp_path,

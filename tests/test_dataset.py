@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from surrotest.dataset import (SPLITS, FilterSpec, LabeledDataset,
+from surrotest.dataset import (BLOCK, SPLITS, FilterSpec, LabeledDataset,
                                build_dataset, butterworth_lowpass,
                                design_butterworth_lowpass, load_dataset,
                                load_series, pair_surrogates, save_dataset,
@@ -156,10 +156,35 @@ def iir_reference(b, a, x):
 
 @pytest.mark.parametrize("order", [1, 2, 4, 7])
 def test_filter_matches_numpy_scalar_recurrence(order):
+    # The filter walks the record in blocks of BLOCK samples; the reference
+    # runs over the whole record at once.
     spec = FilterSpec(cutoff_hz=40.0, sampling_rate_hz=173.61, order=order)
-    x = np.random.default_rng(order).normal(size=5000)
-    expected = iir_reference(*design_butterworth_lowpass(spec), x)
-    assert np.array_equal(butterworth_lowpass(x, spec), expected)
+    x = np.random.default_rng(order).normal(size=2 * BLOCK + 3)
+    for n in (5000, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3):
+        expected = iir_reference(*design_butterworth_lowpass(spec), x[:n])
+        assert butterworth_lowpass(x[:n], spec).tobytes() == (
+            expected.tobytes()), n
+
+
+def test_load_series_rows_straddle_a_block(tmp_path):
+    # Single values up to two short of a block, a blank line, then comma
+    # rows and blank lines across the block boundary.
+    values = np.random.default_rng(3).normal(size=BLOCK + 40)
+    head = BLOCK - 2
+    lines = [repr(v) for v in values[:head].tolist()] + [""]
+    for lo in range(head, values.size, 7):
+        lines += [",".join(repr(v) for v in values[lo:lo + 7].tolist()), ""]
+    path = tmp_path / "rec.txt"
+    path.write_text("\n".join(lines) + "\n")
+    assert load_series(path).tobytes() == values.tobytes()
+    # A bad cell after the first block still names its line.
+    bad_line = len(lines) - 1      # the last comma row
+    lines[bad_line - 1] = lines[bad_line - 1].replace(",", ",nope,", 1)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=f"line {bad_line}: cannot parse "
+                                         "'nope'") as err:
+        load_series(path)
+    assert err.value.line == bad_line
 
 
 def test_filter_rejects_short_input():

@@ -7,11 +7,12 @@ import pytest
 from surrotest.dataset import build_dataset, pair_surrogates, split_dataset
 from surrotest.dynsys import make_realizations
 from surrotest.errors import NumericError, ParameterError, ParseError
-from surrotest.rnn import (PARAM_NAMES, RnnModel, TrainConfig, TrainReport,
-                           _batch_loss, _forward_batch, _loss_and_gradients,
-                           _sigmoid, adam_init, adam_step, bptt_gradients,
-                           clip_gradients, evaluate, init_model, load_model,
-                           load_report, save_model, save_report, train)
+from surrotest.rnn import (EVAL_WINDOW, PARAM_NAMES, RnnModel, TrainConfig,
+                           TrainReport, _batch_loss, _forward_batch,
+                           _loss_and_gradients, _sigmoid, adam_init,
+                           adam_step, bptt_gradients, clip_gradients,
+                           evaluate, init_model, load_model, load_report,
+                           save_model, save_report, train)
 from surrotest.spectral import SurrogateConfig
 
 
@@ -130,18 +131,52 @@ def test_forward_scaling_output_weights_keeps_class():
         assert (q >= 0.5) == (p >= 0.5)
 
 
+def first_overflow_step(w_rec: float) -> int:
+    """The step at which h_t = 1 + 2 * w_rec * h_{t-1}, h_1 = 1, the state
+    of each unit of a 2-unit model fed ones, first overflows."""
+    h, step = 1.0, 1
+    while h != float("inf"):
+        h, step = 1.0 + 2.0 * w_rec * h, step + 1
+    return step
+
+
 def test_overflowing_hidden_state_is_numeric_error():
     H = 2
-    m = RnnModel(w_in=np.ones(H), w_rec=np.full((H, H), 1e200),
-                 b_h=np.zeros(H), w_out=np.ones(H), b_out=np.zeros(1))
-    X = np.ones((2, 6))
+    X = np.ones((2, 2 * EVAL_WINDOW + 6))
     X[0] = 0.0                  # this row stays at zero throughout
-    # trace[1] is 1, trace[2] is 1 + 2e200, and trace[3] overflows.
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericError, match="activation at step 3$"):
-            _forward_batch(m, X)
-        with pytest.raises(NumericError, match="activation at step 3$"):
-            _forward_batch(m, X[1:])
+    y = np.array([0.0, 1.0])
+    # trace[1] is 1, trace[2] is 1 + 2e200, and trace[3] overflows; with
+    # 1e16 the overflow comes after the first evaluation window.
+    assert 3 < EVAL_WINDOW < 20
+    for w_rec, step in ((1e200, 3), (1e16, 20)):
+        assert first_overflow_step(w_rec) == step
+        m = RnnModel(w_in=np.ones(H), w_rec=np.full((H, H), w_rec),
+                     b_h=np.zeros(H), w_out=np.ones(H), b_out=np.zeros(1))
+        # The training sweep, the evaluation sweep and evaluate name one
+        # step.
+        message = f"activation at step {step}$"
+        with np.errstate(over="ignore", invalid="ignore"):
+            for rows in (X, X[1:]):
+                with pytest.raises(NumericError, match=message):
+                    _forward_batch(m, rows)
+                with pytest.raises(NumericError, match=message):
+                    _forward_batch(m, rows, keep_trace=False)
+            with pytest.raises(NumericError, match=message):
+                evaluate(m, (X, y))
+
+
+@pytest.mark.parametrize("B", [1, 50])
+@pytest.mark.parametrize("L", [EVAL_WINDOW - 3, 2 * EVAL_WINDOW + 5])
+def test_evaluation_sweep_gives_the_training_sweeps_bits(B, L):
+    # L is not a multiple of the window, so the last window is short.
+    m = init_model(10, seed=B + L)
+    X = np.random.default_rng(B * L).normal(size=(B, L))
+    y = (np.arange(B) % 2).astype(float)
+    p, trace = _forward_batch(m, X)
+    p_eval, none = _forward_batch(m, X, keep_trace=False)
+    assert trace.shape == (L + 1, B, 10) and none is None
+    assert p_eval.tobytes() == p.tobytes()
+    assert evaluate(m, (X, y)) == float(np.mean((p >= 0.5) == (y == 1)))
 
 
 # ---------------------------------------------------------------------------
