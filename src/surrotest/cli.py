@@ -78,6 +78,9 @@ class RunConfig:
             raise ParameterError(f"N must be at least 1, got {self.N}")
         if self.epochs < 0:
             raise ParameterError(f"epochs must be nonnegative, got {self.epochs}")
+        if self.master_seed < 0:
+            raise ParameterError(
+                f"master_seed must be nonnegative, got {self.master_seed}")
         if self.filter_order < 1:
             raise ParameterError(
                 f"filter order must be positive, got {self.filter_order}")
@@ -275,12 +278,12 @@ def cmd_train(cfg: RunConfig, input_path=None, dataset=None) -> rnn.TrainReport:
     outdir = cfg.outdir()
     if dataset is None:
         dataset = load_dataset(_stage_input(cfg, input_path, "dataset.csv"))
-    snapshots, report = rnn.train(stage_seed(cfg.master_seed, "init"),
-                                  dataset, cfg.epochs, cfg.train_config())
-    rnn.save_model(outdir / "model.json", snapshots[-1])
-    if report.representative_epoch is not None:
-        rnn.save_model(outdir / "model_representative.json",
-                       snapshots[report.representative_epoch])
+    model, representative, report = rnn.train(
+        stage_seed(cfg.master_seed, "init"), dataset, cfg.epochs,
+        cfg.train_config())
+    rnn.save_model(outdir / "model.json", model)
+    if representative is not None:
+        rnn.save_model(outdir / "model_representative.json", representative)
     rnn.save_report(outdir / "train_report.csv", report,
                     extra_meta={"N": dataset.n_pairs})
     return report
@@ -293,9 +296,9 @@ def verdict_from_report(report: rnn.TrainReport, alpha: float = 0.05) -> dict:
     n = report.n_test_items
     if n < 1:
         raise ParameterError("report does not record the test item count")
-    # The raw test accuracy at the representative epoch is that epoch's
-    # snapshot evaluated on the test split, so times n it is the exact
-    # count of correct items; the smoothed ``acc`` is not a count.
+    # The raw test accuracy at the representative epoch is the
+    # representative model evaluated on the test split, so times n it is
+    # the exact count of correct items; the smoothed ``acc`` is not a count.
     successes = round(report.test_acc[epoch - 1] * n)
     result = stats.binomial_test(successes, n, alpha=alpha)
     return {

@@ -174,20 +174,9 @@ def _batch_loss(p: np.ndarray, y: np.ndarray) -> float:
 # Backpropagation through time
 # ---------------------------------------------------------------------------
 
-def _coerce_batch(batch):
-    if isinstance(batch, tuple) and len(batch) == 2:
-        X, y = batch
-        return np.asarray(X, dtype=float), np.asarray(y, dtype=float)
-    sequences, labels = [], []
-    for seq, label in batch:
-        sequences.append(np.asarray(seq, dtype=float))
-        labels.append(float(label))
-    if not sequences:
-        raise LengthError("batch is empty")
-    return np.stack(sequences), np.array(labels)
-
-
 def _loss_and_gradients(model: RnnModel, X: np.ndarray, y: np.ndarray):
+    """Mean loss over a (B, L) batch with labels ``y``, and its gradient in
+    the layout of ``model.vec`` (``_split`` names the parts)."""
     B, L = X.shape
     if B == 0:
         raise LengthError("batch is empty")
@@ -221,13 +210,6 @@ def _loss_and_gradients(model: RnnModel, X: np.ndarray, y: np.ndarray):
     if bad is not None:
         raise NumericError(f"non-finite gradient for {bad}")
     return loss, grad
-
-
-def bptt_gradients(model: RnnModel, batch) -> dict:
-    """Mean-over-batch gradients of the loss, by parameter name."""
-    X, y = _coerce_batch(batch)
-    _, grad = _loss_and_gradients(model, X, y)
-    return dict(zip(PARAM_NAMES, _split(grad)))
 
 
 def clip_gradients(grad: np.ndarray, max_norm: float) -> np.ndarray:
@@ -277,13 +259,13 @@ def adam_step(model: RnnModel, grad: np.ndarray, state: AdamState) -> None:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def evaluate(model: RnnModel, items) -> float:
-    """Fraction of items classified correctly at threshold 0.5.
+def evaluate(model: RnnModel, X: np.ndarray, y: np.ndarray) -> float:
+    """Fraction of the items of a (B, L) batch ``X`` with labels ``y``
+    classified correctly at threshold 0.5.
 
     Ties (p exactly 0.5) count as class 1, so an all-zero model scores
     exactly the class-1 fraction.
     """
-    X, y = _coerce_batch(items)
     if X.shape[0] == 0:
         raise LengthError("cannot evaluate on an empty item set")
     p, _ = _forward_batch(model, X, keep_trace=False)
@@ -339,10 +321,10 @@ def train(init_seed: int, dataset, epochs: int,
     """Mini-batch training with Adam over the dataset's train split.
 
     Validation items never contribute gradients; they only feed the
-    validation-loss curve.  Returns (snapshots, report) where
-    ``snapshots[k]`` is the model after k epochs (index 0 is the
-    initialization), so ``snapshots[report.representative_epoch]`` is the
-    model the report's headline accuracy refers to.
+    validation-loss curve.  Returns (model, representative, report):
+    the model after the last epoch, the model after
+    ``report.representative_epoch`` (the one the report's headline
+    accuracy refers to; None when ``epochs`` is 0), and the report.
     """
     if config is None:
         config = TrainConfig()
@@ -359,7 +341,7 @@ def train(init_seed: int, dataset, epochs: int,
     state = adam_init(model, config.lr)
     shuffle_rng = np.random.default_rng(config.shuffle_seed)
 
-    snapshots = [model.copy()]
+    representative, best = None, math.inf
     report = TrainReport(
         n_test_items=int(X_test.shape[0]),
         seeds={"init": init_seed, "shuffle": config.shuffle_seed},
@@ -368,7 +350,7 @@ def train(init_seed: int, dataset, epochs: int,
                      "clip_norm": config.clip_norm, "epochs": epochs},
     )
 
-    n_train = X_train.shape[0]
+    n_train, w = X_train.shape[0], SMOOTH_WINDOW
     for epoch in range(1, epochs + 1):
         order = shuffle_rng.permutation(n_train)
         loss_sum = 0.0
@@ -386,18 +368,23 @@ def train(init_seed: int, dataset, epochs: int,
         p_val, _ = _forward_batch(model, X_val, keep_trace=False)
         report.train_loss.append(train_loss)
         report.val_loss.append(_batch_loss(p_val, y_val))
-        report.test_acc.append(evaluate(model, (X_test, y_test)))
-        snapshots.append(model.copy())
+        report.test_acc.append(evaluate(model, X_test, y_test))
+        # This epoch's smoothed combined loss, the value stats.smooth and
+        # stats.representative_accuracy give it; strict < keeps ties at the
+        # earliest epoch, as their argmin does.
+        combined = (np.mean(report.train_loss[-w:])
+                    + np.mean(report.val_loss[-w:]))
+        if combined < best:
+            representative, best = model.copy(), combined
 
     if epochs > 0:
-        w = SMOOTH_WINDOW
         report.train_loss_s5 = stats.smooth(report.train_loss, w).tolist()
         report.val_loss_s5 = stats.smooth(report.val_loss, w).tolist()
         report.test_acc_s5 = stats.smooth(report.test_acc, w).tolist()
         epoch_star, acc_star = stats.representative_accuracy(report)
         report.representative_epoch = epoch_star
         report.representative_accuracy = acc_star
-    return snapshots, report
+    return model, representative, report
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,11 @@ Each generator takes one series (a 1-D array-like of finite samples) and
 returns a ``SurrogateResult`` whose ``surrogate`` is a new 1-D array.
 
 Every transform is numpy.fft, reached as ``np.fft`` at call time so that
-importing this module does not load it.  Forward is unnormalized; inverse
-divides by n.  The projections that must return a real series use the
-half-spectrum pair rfft/irfft, which is real by construction; spectral
-discrepancies are measured over the full spectrum.
+importing this module does not load it, and no other module calls it.
+Forward is unnormalized; inverse divides by n.  The projections that must
+return a real series use the half-spectrum pair rfft/irfft, which is real
+by construction; spectral discrepancies are measured over the full
+spectrum that ``dft`` returns.
 """
 
 from __future__ import annotations
@@ -36,47 +37,13 @@ _TWO_PI = 2.0 * np.pi
 # Discrete Fourier transform
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Spectrum:
-    """Complex DFT coefficients of a real or complex series."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=complex)
-
-    def __len__(self):
-        return self.coeffs.size
-
-    @property
-    def amplitudes(self) -> np.ndarray:
-        return np.abs(self.coeffs)
-
-    @property
-    def amplitude_squared(self) -> np.ndarray:
-        return np.abs(self.coeffs) ** 2
-
-
-def dft(series) -> Spectrum:
-    """Unnormalized forward transform of a series."""
+def dft(series) -> np.ndarray:
+    """Unnormalized forward transform of a series: ``np.fft.fft``'s complex
+    coefficients.  An empty series raises ``LengthError``."""
     x = as_samples(series)
     if x.size == 0:
         raise LengthError("cannot transform an empty series")
-    return Spectrum(np.fft.fft(x))
-
-
-def idft(spectrum) -> np.ndarray:
-    """Inverse transform (divides by n); complex output.
-
-    Accepts a Spectrum or a raw coefficient array.  For coefficient sets
-    with conjugate symmetry the imaginary part is rounding dust.
-    """
-    coeffs = spectrum.coeffs if isinstance(spectrum, Spectrum) else np.asarray(
-        spectrum, dtype=complex
-    )
-    if coeffs.size == 0:
-        raise LengthError("cannot invert an empty spectrum")
-    return np.fft.ifft(coeffs)
+    return np.fft.fft(x)
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +126,8 @@ def spectral_discrepancy(a, b) -> float:
     xb = as_samples(b)
     if xa.size != xb.size:
         raise LengthError(f"length mismatch: {xa.size} != {xb.size}")
-    amp_a = dft(xa).amplitudes
-    amp_b = dft(xb).amplitudes
+    amp_a = np.abs(dft(xa))
+    amp_b = np.abs(dft(xb))
     denom = np.sqrt(np.mean(amp_a**2))
     if denom == 0.0:
         raise NormalizationError("reference series has zero spectral energy")

@@ -612,6 +612,25 @@ def test_bad_step_setting_fails_before_any_stage(tmp_path, capsys, flag,
     assert not out.exists()
 
 
+def test_negative_seed_flag_is_parameter_error(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run_cli("pipeline", "--system", "logistic", *TINY, "--seed", "-1",
+                   "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "error[ParameterError]" in err and "master_seed" in err
+    assert not out.exists()
+
+
+def test_negative_seed_in_config_is_parameter_error(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"master_seed": -3}))
+    out = tmp_path / "run"
+    assert run_cli("generate", "--config", cfg_path, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "error[ParameterError]" in err and "master_seed" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("artifact,reader", [("realizations", "surrogate"),
                                              ("surrogates", "dataset"),
                                              ("dataset", "train")])
@@ -671,6 +690,19 @@ def test_readme_library_example_runs(capsys):
     code = code.replace("N=1000", "N=12").replace("epochs=400", "epochs=2")
     exec(compile(code, "README.md", "exec"), {})
     assert capsys.readouterr().out.strip()
+
+
+def test_importing_the_cli_loads_neither_fft_nor_random():
+    # Every CLI call pays for what importing the CLI loads; numpy.fft and
+    # numpy.random load lazily, at their first use.
+    code = ("import sys, surrotest.cli; "
+            "print(sorted({'numpy.fft', 'numpy.random'} & set(sys.modules)))")
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(surrotest.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_output_root_env_var(tmp_path, monkeypatch):

@@ -9,10 +9,10 @@ from surrotest.dynsys import make_realizations
 from surrotest.errors import NumericError, ParameterError, ParseError
 from surrotest.rnn import (EVAL_WINDOW, PARAM_NAMES, RnnModel, TrainConfig,
                            TrainReport, _batch_loss, _forward_batch,
-                           _loss_and_gradients, _sigmoid, adam_init,
-                           adam_step, bptt_gradients, clip_gradients,
-                           evaluate, init_model, load_model, load_report,
-                           save_model, save_report, train)
+                           _loss_and_gradients, _sigmoid, _split, adam_init,
+                           adam_step, clip_gradients, evaluate, init_model,
+                           load_model, load_report, save_model, save_report,
+                           train)
 from surrotest.spectral import SurrogateConfig
 
 
@@ -162,7 +162,7 @@ def test_overflowing_hidden_state_is_numeric_error():
                 with pytest.raises(NumericError, match=message):
                     _forward_batch(m, rows, keep_trace=False)
             with pytest.raises(NumericError, match=message):
-                evaluate(m, (X, y))
+                evaluate(m, X, y)
 
 
 @pytest.mark.parametrize("B", [1, 50])
@@ -176,7 +176,7 @@ def test_evaluation_sweep_gives_the_training_sweeps_bits(B, L):
     p_eval, none = _forward_batch(m, X, keep_trace=False)
     assert trace.shape == (L + 1, B, 10) and none is None
     assert p_eval.tobytes() == p.tobytes()
-    assert evaluate(m, (X, y)) == float(np.mean((p >= 0.5) == (y == 1)))
+    assert evaluate(m, X, y) == float(np.mean((p >= 0.5) == (y == 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -295,47 +295,43 @@ def test_bce_perfect_prediction_clamped():
 
 def test_output_bias_gradient_closed_form():
     m = zero_model()
-    batch = [(np.array([0.1, 0.2, 0.3]), 1), (np.array([0.5, 0.5, 0.5]), 0)]
-    grads = bptt_gradients(m, batch)
+    X = np.array([[0.1, 0.2, 0.3], [0.5, 0.5, 0.5]])
+    y = np.array([1.0, 0.0])
+    _, grad = _loss_and_gradients(m, X, y)
     # p = 0.5 everywhere, so d(loss)/d(b_out) = mean(0.5 - y).
-    assert grads["b_out"][0] == pytest.approx(np.mean([0.5 - 1, 0.5 - 0]))
+    assert _split(grad)[4][0] == pytest.approx(np.mean([0.5 - 1, 0.5 - 0]))
 
 
 def test_duplicating_batch_items_keeps_gradient():
     rng = np.random.default_rng(1)
     m = init_model(4, seed=2)
-    batch = [(rng.normal(size=8), 1), (rng.normal(size=8), 0)]
-    g1 = bptt_gradients(m, batch)
-    g2 = bptt_gradients(m, batch + batch)
-    for name in g1:
-        assert np.allclose(g1[name], g2[name], atol=1e-14)
+    X, y = rng.normal(size=(2, 8)), np.array([1.0, 0.0])
+    _, g1 = _loss_and_gradients(m, X, y)
+    _, g2 = _loss_and_gradients(m, np.concatenate([X, X]), np.tile(y, 2))
+    assert np.allclose(g1, g2, atol=1e-14)
 
 
-def numeric_gradients(model, batch, step=1e-5):
-    """Central finite differences of the mean loss, parameter by parameter."""
-    from surrotest.rnn import _coerce_batch, _forward_batch, _batch_loss
-
-    X, y = _coerce_batch(batch)
-
-    def mean_loss(m):
-        p, _ = _forward_batch(m, X)
-        return _batch_loss(p, y)
-
-    out = {}
-    for name, arr in named_params(model).items():
-        g = np.zeros_like(arr)
-        flat = arr.ravel()
-        gflat = g.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            up = mean_loss(model)
-            flat[i] = orig - step
-            down = mean_loss(model)
-            flat[i] = orig
-            gflat[i] = (up - down) / (2 * step)
-        out[name] = g
+def numeric_gradients(model, X, y, step=1e-5):
+    """Central finite differences of the mean loss over the (B, L) batch
+    ``X`` with labels ``y``, in the layout of ``model.vec``."""
+    flat = model.vec
+    out = np.zeros_like(flat)
+    for i in range(flat.size):
+        orig = flat[i]
+        losses = []
+        for value in (orig + step, orig - step):
+            flat[i] = value
+            losses.append(_batch_loss(_forward_batch(model, X)[0], y))
+        flat[i] = orig
+        out[i] = (losses[0] - losses[1]) / (2 * step)
     return out
+
+
+def standardized_batch(rng, B, L):
+    """B standardized rows, as in training, labelled 0, 1, 0, ..."""
+    X = rng.normal(size=(B, L))
+    X = (X - X.mean(axis=1, keepdims=True)) / X.std(axis=1, keepdims=True)
+    return X, (np.arange(B) % 2).astype(float)
 
 
 @pytest.mark.parametrize("H", [1, 3, 10])
@@ -343,16 +339,11 @@ def numeric_gradients(model, batch, step=1e-5):
 def test_gradients_match_finite_differences(H, L):
     rng = np.random.default_rng(100 * H + L)
     model = init_model(H, seed=H + L)
-    # Standardized inputs, as in training.
-    batch = []
-    for j in range(4):
-        x = rng.normal(size=L)
-        x = (x - x.mean()) / x.std()
-        batch.append((x, j % 2))
-    analytic = bptt_gradients(model, batch)
-    numeric = numeric_gradients(model, batch)
-    for name in analytic:
-        a, n = analytic[name].ravel(), numeric[name].ravel()
+    X, y = standardized_batch(rng, 4, L)
+    _, analytic = _loss_and_gradients(model, X, y)
+    numeric = numeric_gradients(model, X, y)
+    for name, a, n in zip(PARAM_NAMES, _split(analytic), _split(numeric)):
+        a, n = a.ravel(), n.ravel()
         for i in range(a.size):
             tol = max(1e-7, 1e-4 * max(abs(a[i]), abs(n[i])))
             assert abs(a[i] - n[i]) <= tol, (name, i, a[i], n[i])
@@ -413,9 +404,9 @@ def test_adam_opposing_steps_nearly_cancel():
 # ---------------------------------------------------------------------------
 
 def test_evaluate_zero_model_on_balanced_set():
-    rng = np.random.default_rng(4)
-    items = [(rng.normal(size=8), i % 2) for i in range(20)]
-    assert evaluate(zero_model(), items) == 0.5
+    X = np.random.default_rng(4).normal(size=(20, 8))
+    y = (np.arange(20) % 2).astype(float)
+    assert evaluate(zero_model(), X, y) == 0.5
 
 
 def test_evaluate_perfect_model():
@@ -423,21 +414,20 @@ def test_evaluate_perfect_model():
     m.w_in[...] = 5.0   # hidden = relu(5x) tracks positive inputs
     m.w_out[...] = 4.0
     m.b_out[...] = -2.0
-    items = [(np.array([1.0, 1.0, 1.0, 1.0]), 1),
-             (np.array([-1.0, -1.0, -1.0, -1.0]), 0)]
-    assert evaluate(m, items) == 1.0
+    X = np.array([[1.0, 1.0, 1.0, 1.0], [-1.0, -1.0, -1.0, -1.0]])
+    assert evaluate(m, X, np.array([1.0, 0.0])) == 1.0
 
 
 def test_evaluate_negated_output_flips_predictions():
     rng = np.random.default_rng(5)
     m = init_model(5, seed=6)
-    items = [(rng.normal(size=12), int(rng.integers(0, 2))) for _ in range(40)]
-    ps = [forward_one(m, x)[0] for x, _ in items]
-    assert all(p != 0.5 for p in ps)  # tie-free set
+    X = rng.normal(size=(40, 12))
+    y = rng.integers(0, 2, size=40).astype(float)
+    assert np.all(_forward_batch(m, X)[0] != 0.5)  # tie-free set
     flipped = m.copy()
     flipped.w_out[...] = -m.w_out
     flipped.b_out[...] = -m.b_out
-    assert evaluate(m, items) + evaluate(flipped, items) == pytest.approx(1.0)
+    assert evaluate(m, X, y) + evaluate(flipped, X, y) == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -452,11 +442,10 @@ def toy_dataset():
 
 
 def test_train_zero_epochs_returns_initialization(toy_dataset):
-    snapshots, report = train(7, toy_dataset, 0, TrainConfig(hidden_size=4))
-    assert len(snapshots) == 1
-    init = init_model(4, seed=7)
-    for name, p in named_params(init).items():
-        assert np.array_equal(p, getattr(snapshots[0], name))
+    model, representative, report = train(7, toy_dataset, 0,
+                                          TrainConfig(hidden_size=4))
+    assert model.vec.tobytes() == init_model(4, seed=7).vec.tobytes()
+    assert representative is None
     assert report.train_loss == []
     assert report.representative_epoch is None
 
@@ -472,21 +461,20 @@ def test_train_memorizes_tiny_problem():
                         pair_id=np.concatenate([pid, np.repeat(pid, 2)]),
                         split=np.array(["train"] * 4
                                        + ["validation", "test"] * 4))
-    _, report = train(9, ds, 200, TrainConfig(hidden_size=8, lr=1e-2,
-                                              shuffle_seed=10))
+    *_, report = train(9, ds, 200, TrainConfig(hidden_size=8, lr=1e-2,
+                                               shuffle_seed=10))
     assert report.train_loss[-1] < report.train_loss[0]
 
 
 def test_train_is_deterministic(toy_dataset):
     cfg = TrainConfig(hidden_size=4, shuffle_seed=11)
-    snaps_a, rep_a = train(12, toy_dataset, 5, cfg)
-    snaps_b, rep_b = train(12, toy_dataset, 5, cfg)
+    *models_a, rep_a = train(12, toy_dataset, 5, cfg)
+    *models_b, rep_b = train(12, toy_dataset, 5, cfg)
     assert rep_a.train_loss == rep_b.train_loss
     assert rep_a.val_loss == rep_b.val_loss
     assert rep_a.test_acc == rep_b.test_acc
-    for ma, mb in zip(snaps_a, snaps_b):
-        for name in named_params(ma):
-            assert np.array_equal(getattr(ma, name), getattr(mb, name))
+    for ma, mb in zip(models_a, models_b):
+        assert ma.vec.tobytes() == mb.vec.tobytes()
 
 
 def reference_train(init_seed, dataset, epochs, config):
@@ -506,7 +494,8 @@ def reference_train(init_seed, dataset, epochs, config):
         order = rng.permutation(len(X))
         for lo in range(0, len(X), config.batch_size):
             idx = order[lo:lo + config.batch_size]
-            grads = bptt_gradients(RnnModel(**params), (X[idx], y[idx]))
+            _, grad = _loss_and_gradients(RnnModel(**params), X[idx], y[idx])
+            grads = dict(zip(PARAM_NAMES, _split(grad)))
             if config.clip_norm is not None:
                 total = np.sqrt(sum(float(np.sum(grads[k] * grads[k])) for k
                                     in ("w_out", "b_out", "b_h", "w_in", "w_rec")))
@@ -533,21 +522,45 @@ def small_dataset():
     return split_dataset(ds, seed=42)
 
 
-@pytest.mark.parametrize("clip_norm", [0.05, None])
-def test_train_matches_per_parameter_reference(small_dataset, clip_norm):
-    cfg = TrainConfig(hidden_size=5, lr=1e-2, batch_size=8,
+def ref_bytes(params: dict) -> bytes:
+    return np.concatenate([params[k].ravel() for k in PARAM_NAMES]).tobytes()
+
+
+@pytest.mark.parametrize("clip_norm, lr, epochs", [
+    pytest.param(0.05, 1e-2, 6, id="0.05"),
+    pytest.param(None, 1e-2, 6, id="None"),
+    # The smoothed losses rise after epoch 7, so the representative model
+    # is not the last one.
+    pytest.param(0.05, 1e-1, 10, id="0.05-early-representative")])
+def test_train_matches_per_parameter_reference(small_dataset, clip_norm, lr,
+                                               epochs):
+    cfg = TrainConfig(hidden_size=5, lr=lr, batch_size=8,
                       clip_norm=clip_norm, shuffle_seed=43)
-    snapshots, _ = train(44, small_dataset, 6, cfg)
-    expected, clipped, steps = reference_train(44, small_dataset, 6, cfg)
+    model, representative, report = train(44, small_dataset, epochs, cfg)
+    expected, clipped, steps = reference_train(44, small_dataset, epochs, cfg)
     assert steps >= 18
     if clip_norm is None:
         assert clipped == 0
     else:
         assert clipped > steps // 2
-    assert len(snapshots) == len(expected)
-    for model, ref in zip(snapshots, expected):
-        for name in PARAM_NAMES:
-            assert np.array_equal(getattr(model, name), ref[name]), name
+    if lr == 1e-1:
+        assert report.representative_epoch < epochs
+    assert model.vec.tobytes() == ref_bytes(expected[-1])
+    assert representative.vec.tobytes() == ref_bytes(
+        expected[report.representative_epoch])
+
+
+@pytest.mark.parametrize("seed", [0, 3, 4])
+def test_representative_is_the_model_after_its_epoch(toy_dataset, seed):
+    # At lr 0.3 the curves are rough enough that a smoothing window one
+    # epoch longer or shorter, for either loss, picks another epoch in one
+    # of these runs.  A run of k epochs repeats the first k of a longer one.
+    cfg = TrainConfig(hidden_size=3, lr=0.3, shuffle_seed=seed)
+    _, representative, report = train(seed, toy_dataset, 16, cfg)
+    epoch = report.representative_epoch
+    assert 1 < epoch < 16
+    model, _, _ = train(seed, toy_dataset, epoch, cfg)
+    assert representative.vec.tobytes() == model.vec.tobytes()
 
 
 def test_train_validates_epochs(toy_dataset):
@@ -565,8 +578,9 @@ def test_train_config_rejects_bad_step_settings(field, value):
 
 
 def test_train_report_curves_consistent(toy_dataset):
-    snapshots, report = train(13, toy_dataset, 6, TrainConfig(hidden_size=3))
-    assert len(snapshots) == 7
+    _, representative, report = train(13, toy_dataset, 6,
+                                      TrainConfig(hidden_size=3))
+    assert representative.hidden_size == 3
     assert len(report.train_loss) == 6
     assert len(report.train_loss_s5) == 6
     assert 1 <= report.representative_epoch <= 6
@@ -607,7 +621,7 @@ def test_load_model_malformed_is_parse_error(tmp_path, corrupt):
 
 
 def test_report_round_trip(tmp_path, toy_dataset):
-    _, report = train(15, toy_dataset, 4, TrainConfig(hidden_size=3))
+    *_, report = train(15, toy_dataset, 4, TrainConfig(hidden_size=3))
     path = tmp_path / "report.csv"
     save_report(path, report)
     loaded = load_report(path)
@@ -618,7 +632,7 @@ def test_report_round_trip(tmp_path, toy_dataset):
 
 
 def test_report_sidecar_must_agree_with_its_curves(tmp_path, toy_dataset):
-    _, report = train(15, toy_dataset, 4, TrainConfig(hidden_size=3))
+    *_, report = train(15, toy_dataset, 4, TrainConfig(hidden_size=3))
     epoch, acc = report.representative_epoch, report.representative_accuracy
     assert acc != 0.99
     path = tmp_path / "report.csv"

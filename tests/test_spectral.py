@@ -3,8 +3,7 @@ import pytest
 
 from surrotest.errors import LengthError, NormalizationError, ParameterError
 from surrotest.spectral import (SurrogateConfig, aaft_surrogate, dft,
-                                ft_surrogate, iaaft_surrogate, idft,
-                                rank_order, shuffle_surrogate,
+                                ft_surrogate, iaaft_surrogate, rank_order, shuffle_surrogate,
                                 spectral_discrepancy)
 
 
@@ -19,29 +18,29 @@ def brute_force_dft(x):
 
 
 # ---------------------------------------------------------------------------
-# dft / idft
+# dft, and the rfft/irfft pair of the FT and IAAFT projections
 # ---------------------------------------------------------------------------
 
 def test_dft_unit_impulse():
-    spec = dft([1.0, 0.0, 0.0, 0.0])
-    assert np.allclose(spec.coeffs, np.ones(4), atol=1e-12)
+    assert np.allclose(dft([1.0, 0.0, 0.0, 0.0]), np.ones(4), atol=1e-12)
 
 
 def test_dft_dc_signal():
-    spec = dft([1.0, 1.0, 1.0, 1.0])
-    assert np.allclose(spec.coeffs, [4.0, 0.0, 0.0, 0.0], atol=1e-12)
+    assert np.allclose(dft([1.0, 1.0, 1.0, 1.0]), [4.0, 0.0, 0.0, 0.0],
+                       atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [32, 64, 128, 48, 37])
 def test_dft_matches_brute_force(n):
     x = np.random.default_rng(n).normal(size=n)
-    assert np.allclose(dft(x).coeffs, brute_force_dft(x), atol=1e-8)
+    assert np.allclose(dft(x), brute_force_dft(x), atol=1e-8)
 
 
 @pytest.mark.parametrize("n", [32, 64, 128, 37])
 def test_round_trip(n):
+    # The half-spectrum pair that ft_surrogate and iaaft_surrogate use.
     x = np.random.default_rng(n + 1).normal(size=n)
-    back = idft(dft(x))
+    back = np.fft.irfft(np.fft.rfft(x), n)
     assert np.max(np.abs(back - x)) < 1e-10
 
 
@@ -49,13 +48,13 @@ def test_round_trip(n):
 def test_parseval(n):
     x = np.random.default_rng(n + 2).normal(size=n)
     energy_time = np.sum(np.abs(x) ** 2)
-    energy_freq = np.sum(dft(x).amplitude_squared) / n
+    energy_freq = np.sum(np.abs(dft(x)) ** 2) / n
     assert abs(energy_time - energy_freq) < 1e-10 * max(1.0, energy_time)
 
 
 def test_dft_conjugate_symmetry_for_real_input():
     x = np.random.default_rng(0).normal(size=64)
-    c = dft(x).coeffs
+    c = dft(x)
     assert np.allclose(c[1:], np.conj(c[1:][::-1]), atol=1e-10)
 
 
@@ -142,8 +141,8 @@ def test_shuffle_preserves_multiset():
 def test_ft_preserves_amplitude_spectrum():
     x = np.random.default_rng(8).normal(size=64)
     res = ft_surrogate(x, seed=3)
-    amp_in = dft(x).amplitudes
-    amp_out = dft(res.surrogate).amplitudes
+    amp_in = np.abs(dft(x))
+    amp_out = np.abs(dft(res.surrogate))
     assert np.max(np.abs(amp_out - amp_in)) < 1e-10 * np.max(amp_in)
 
 
