@@ -11,7 +11,7 @@ from .spectral import (SurrogateConfig, SurrogateResult, aaft_surrogate,
 from .dynsys import make_realizations
 from .dataset import LabeledDataset, build_dataset, split_dataset
 from .rnn import RnnModel, TrainConfig, evaluate, train
-from .stats import binomial_test, representative_accuracy, smooth
+from .stats import binomial_test
 
 __version__ = "0.1.0"
 
@@ -32,7 +32,5 @@ __all__ = [
     "train",
     "evaluate",
     "binomial_test",
-    "smooth",
-    "representative_accuracy",
     "__version__",
 ]

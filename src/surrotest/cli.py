@@ -37,6 +37,9 @@ OUTPUT_ROOT_ENV = "SURROTEST_OUT"
 
 FROZEN_CONFIG = "config.frozen.json"
 
+# Significance level of the verdict's binomial test.
+VERDICT_ALPHA = 0.05
+
 
 # ---------------------------------------------------------------------------
 # Run configuration
@@ -76,8 +79,8 @@ class RunConfig:
             raise ParameterError(f"L must be at least 8, got {self.L}")
         if self.N < 1:
             raise ParameterError(f"N must be at least 1, got {self.N}")
-        if self.epochs < 0:
-            raise ParameterError(f"epochs must be nonnegative, got {self.epochs}")
+        if self.epochs < 1:
+            raise ParameterError(f"epochs must be at least 1, got {self.epochs}")
         if self.master_seed < 0:
             raise ParameterError(
                 f"master_seed must be nonnegative, got {self.master_seed}")
@@ -282,17 +285,14 @@ def cmd_train(cfg: RunConfig, input_path=None, dataset=None) -> rnn.TrainReport:
         stage_seed(cfg.master_seed, "init"), dataset, cfg.epochs,
         cfg.train_config())
     rnn.save_model(outdir / "model.json", model)
-    if representative is not None:
-        rnn.save_model(outdir / "model_representative.json", representative)
+    rnn.save_model(outdir / "model_representative.json", representative)
     rnn.save_report(outdir / "train_report.csv", report,
                     extra_meta={"N": dataset.n_pairs})
     return report
 
 
-def verdict_from_report(report: rnn.TrainReport, alpha: float = 0.05) -> dict:
+def verdict_from_report(report: rnn.TrainReport) -> dict:
     epoch, acc = report.representative_epoch, report.representative_accuracy
-    if epoch is None or acc is None:
-        raise ParameterError("no representative epoch or accuracy in report")
     n = report.n_test_items
     if n < 1:
         raise ParameterError("report does not record the test item count")
@@ -300,7 +300,7 @@ def verdict_from_report(report: rnn.TrainReport, alpha: float = 0.05) -> dict:
     # representative model evaluated on the test split, so times n it is
     # the exact count of correct items; the smoothed ``acc`` is not a count.
     successes = round(report.test_acc[epoch - 1] * n)
-    result = stats.binomial_test(successes, n, alpha=alpha)
+    result = stats.binomial_test(successes, n, alpha=VERDICT_ALPHA)
     return {
         "representative_epoch": epoch,
         "representative_accuracy": acc,
@@ -308,7 +308,7 @@ def verdict_from_report(report: rnn.TrainReport, alpha: float = 0.05) -> dict:
         "successes": successes,
         "null_proportion": 0.5,
         "p_value": result.p_value,
-        "alpha": alpha,
+        "alpha": VERDICT_ALPHA,
         "reject_random_guess": result.reject,
     }
 

@@ -9,6 +9,7 @@ original and recognize its surrogate in the test set.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -79,8 +80,10 @@ class FilterSpec:
     def __post_init__(self):
         if self.order < 1:
             raise ParameterError(f"filter order must be positive, got {self.order}")
-        if not self.sampling_rate_hz > 0:
-            raise ParameterError("sampling rate must be positive")
+        if not (self.sampling_rate_hz > 0
+                and math.isfinite(self.sampling_rate_hz)):
+            raise ParameterError("sampling rate must be finite and positive, "
+                                 f"got {self.sampling_rate_hz}")
         if not 0.0 < self.cutoff_hz < self.sampling_rate_hz / 2.0:
             raise ParameterError(
                 f"cutoff {self.cutoff_hz} Hz must lie in (0, Nyquist="

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import stats
 from .errors import (LengthError, NumericError, ParameterError, ParseError,
                      TrainingError)
 from .series import (atomic_open, meta_path, parse_cells, read_json,
@@ -316,32 +315,58 @@ class TrainReport:
     hyperparams: dict = field(default_factory=dict)
 
 
+def record_epoch(report: TrainReport, train_loss: float, val_loss: float,
+                 test_acc: float) -> bool:
+    """Append one epoch to ``report``: its raw values, and each curve's
+    mean over its last ``SMOOTH_WINDOW`` values to the ``*_s5`` columns.
+
+    This is the one rule that reads the accuracy off the loss plateau: the
+    representative epoch has the lowest smoothed train + validation loss,
+    and ties go to the earliest.  Returns True when this epoch becomes the
+    representative one, which the first epoch always does.
+    """
+    curves = ((report.train_loss, report.train_loss_s5, train_loss),
+              (report.val_loss, report.val_loss_s5, val_loss),
+              (report.test_acc, report.test_acc_s5, test_acc))
+    for raw, smoothed, value in curves:
+        raw.append(value)
+        smoothed.append(float(np.mean(raw[-SMOOTH_WINDOW:])))
+    best = report.representative_epoch
+    if best is not None and not (
+            report.train_loss_s5[-1] + report.val_loss_s5[-1]
+            < report.train_loss_s5[best - 1] + report.val_loss_s5[best - 1]):
+        return False
+    report.representative_epoch = len(report.train_loss)
+    report.representative_accuracy = report.test_acc_s5[-1]
+    return True
+
+
 def train(init_seed: int, dataset, epochs: int,
           config: TrainConfig | None = None):
-    """Mini-batch training with Adam over the dataset's train split.
+    """Mini-batch training with Adam over the dataset's train split, for
+    ``epochs`` >= 1 epochs.
 
     Validation items never contribute gradients; they only feed the
-    validation-loss curve.  Returns (model, representative, report):
-    the model after the last epoch, the model after
-    ``report.representative_epoch`` (the one the report's headline
-    accuracy refers to; None when ``epochs`` is 0), and the report.
+    validation-loss curve.  Each epoch goes into the report through
+    ``record_epoch``.  Returns (model, representative, report): the model
+    after the last epoch, the model after ``report.representative_epoch``
+    (the one the report's headline accuracy refers to), and the report.
     """
     if config is None:
         config = TrainConfig()
-    if epochs < 0:
-        raise ParameterError(f"epochs must be nonnegative, got {epochs}")
+    if epochs < 1:
+        raise ParameterError(f"epochs must be at least 1, got {epochs}")
 
     (X_train, y_train), (X_val, y_val), (X_test, y_test) = [
         (dataset.X[dataset.split == tag], dataset.y[dataset.split == tag])
         for tag in ("train", "validation", "test")]
-    if epochs > 0 and min(len(X_train), len(X_val), len(X_test)) == 0:
+    if min(len(X_train), len(X_val), len(X_test)) == 0:
         raise ParameterError("dataset needs nonempty train/validation/test splits")
 
     model = init_model(config.hidden_size, seed=init_seed)
     state = adam_init(model, config.lr)
     shuffle_rng = np.random.default_rng(config.shuffle_seed)
 
-    representative, best = None, math.inf
     report = TrainReport(
         n_test_items=int(X_test.shape[0]),
         seeds={"init": init_seed, "shuffle": config.shuffle_seed},
@@ -350,7 +375,7 @@ def train(init_seed: int, dataset, epochs: int,
                      "clip_norm": config.clip_norm, "epochs": epochs},
     )
 
-    n_train, w = X_train.shape[0], SMOOTH_WINDOW
+    n_train = X_train.shape[0]
     for epoch in range(1, epochs + 1):
         order = shuffle_rng.permutation(n_train)
         loss_sum = 0.0
@@ -366,24 +391,9 @@ def train(init_seed: int, dataset, epochs: int,
             raise TrainingError(f"training loss diverged at epoch {epoch}",
                                 epoch=epoch)
         p_val, _ = _forward_batch(model, X_val, keep_trace=False)
-        report.train_loss.append(train_loss)
-        report.val_loss.append(_batch_loss(p_val, y_val))
-        report.test_acc.append(evaluate(model, X_test, y_test))
-        # This epoch's smoothed combined loss, the value stats.smooth and
-        # stats.representative_accuracy give it; strict < keeps ties at the
-        # earliest epoch, as their argmin does.
-        combined = (np.mean(report.train_loss[-w:])
-                    + np.mean(report.val_loss[-w:]))
-        if combined < best:
-            representative, best = model.copy(), combined
-
-    if epochs > 0:
-        report.train_loss_s5 = stats.smooth(report.train_loss, w).tolist()
-        report.val_loss_s5 = stats.smooth(report.val_loss, w).tolist()
-        report.test_acc_s5 = stats.smooth(report.test_acc, w).tolist()
-        epoch_star, acc_star = stats.representative_accuracy(report)
-        report.representative_epoch = epoch_star
-        report.representative_accuracy = acc_star
+        if record_epoch(report, train_loss, _batch_loss(p_val, y_val),
+                        evaluate(model, X_test, y_test)):
+            representative = model.copy()
     return model, representative, report
 
 
@@ -454,24 +464,19 @@ def save_report(path, report: TrainReport, extra_meta: dict | None = None) -> No
 
 
 def load_report(path) -> TrainReport:
-    """The report saved by ``save_report``; a malformed CSV row, a sidecar
-    field of the wrong type, a raw test accuracy that is not a count of
-    the sidecar's ``n_test_items``, or a representative epoch or accuracy
-    other than the one its curves give raises ``ParseError`` naming the
-    file."""
-    report = TrainReport()
+    """The report saved by ``save_report``, with its smoothed columns and
+    representative epoch replayed from the raw columns by ``record_epoch``.
+
+    A report with no epoch rows, a malformed CSV row, a sidecar field of
+    the wrong type, a raw test accuracy that is not a count of the
+    sidecar's ``n_test_items``, a smoothed cell other than the replay's,
+    or a representative epoch or accuracy other than the replay's (a
+    missing one included) raises ``ParseError`` naming the file.
+    """
     rows = read_table(path)
     header = next(rows, None)
     if header is None or tuple(header[1]) != REPORT_COLUMNS:
         raise ParseError(f"{path} is not a training report", line=1)
-    curves = (report.train_loss, report.val_loss, report.test_acc,
-              report.train_loss_s5, report.val_loss_s5, report.test_acc_s5)
-    lines = []
-    for line, row in rows:
-        parse_cells(row[:1], path, line, kind=int)
-        for curve, v in zip(curves, parse_cells(row[1:], path, line)):
-            curve.append(v)
-        lines.append(line)
     meta = read_meta(path)
     for key, allowed in _REPORT_META_TYPES.items():
         value = meta.get(key)
@@ -479,23 +484,29 @@ def load_report(path) -> TrainReport:
                             or not isinstance(value, allowed)):
             raise ParseError(f"{meta_path(path)}: {key} has the wrong "
                              f"type: {json.dumps(value)}")
-    n = report.n_test_items = meta.get("n_test_items", 0)
-    if n > 0:
-        for line, acc in zip(lines, report.test_acc):
-            k = round(acc * n)
-            if not (0 <= k <= n and k / n == acc):
-                raise ParseError(f"{path}: line {line}: test_acc {acc!r} is "
-                                 f"not a count of the {n} test items in "
-                                 f"{meta_path(path)}", line=line)
-    report.seeds = meta.get("seeds", {})
-    report.hyperparams = meta.get("hyperparams", {})
-    report.representative_epoch = meta.get("representative_epoch")
-    report.representative_accuracy = meta.get("representative_accuracy")
-    wanted = (stats.representative_accuracy(report) if report.test_acc_s5
-              else (None, None))
-    for key, want in zip(("representative_epoch", "representative_accuracy"),
-                         wanted):
-        if meta.get(key) not in (None, want):
-            raise ParseError(f"{meta_path(path)}: {key} is {meta[key]}, but "
-                             f"the curves give {want}")
+    n = meta.get("n_test_items", 0)
+    report = TrainReport(n_test_items=n, seeds=meta.get("seeds", {}),
+                         hyperparams=meta.get("hyperparams", {}))
+    smoothed = (report.train_loss_s5, report.val_loss_s5, report.test_acc_s5)
+    for line, row in rows:
+        parse_cells(row[:1], path, line, kind=int)
+        values = parse_cells(row[1:], path, line)
+        acc, k = values[2], round(values[2] * n)
+        if n > 0 and not (0 <= k <= n and k / n == acc):
+            raise ParseError(f"{path}: line {line}: test_acc {acc!r} is not "
+                             f"a count of the {n} test items in "
+                             f"{meta_path(path)}", line=line)
+        record_epoch(report, *values[:3])
+        for name, cell, curve in zip(REPORT_COLUMNS[4:], values[3:], smoothed):
+            if cell != curve[-1]:
+                raise ParseError(f"{path}: line {line}: {name} is {cell!r}, "
+                                 f"but the raw columns give {curve[-1]!r}",
+                                 line=line)
+    if not report.train_loss:
+        raise ParseError(f"{path} has no epoch rows, so no "
+                         "representative_epoch")
+    for key in ("representative_epoch", "representative_accuracy"):
+        if meta.get(key) != getattr(report, key):
+            raise ParseError(f"{meta_path(path)}: {key} is {meta.get(key)}, "
+                             f"but the curves give {getattr(report, key)}")
     return report

@@ -23,6 +23,7 @@ spectrum that ``dft`` returns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,8 +74,9 @@ class SurrogateConfig:
             )
         if self.max_iter < 1:
             raise ParameterError("max_iter must be at least 1")
-        if not self.tolerance > 0:
-            raise ParameterError("tolerance must be positive")
+        if not (self.tolerance > 0 and math.isfinite(self.tolerance)):
+            raise ParameterError(
+                f"tolerance must be finite and positive, got {self.tolerance}")
 
 
 @dataclass

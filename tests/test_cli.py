@@ -149,8 +149,8 @@ def test_train_and_report_stages(tmp_path, capsys):
     ("representative_accuracy", "0.5", "ParseError"),
     ("representative_epoch", 2.0, "ParseError"),
     ("seeds", [], "ParseError"),
-    ("representative_epoch", None, "ParameterError"),
-    ("representative_accuracy", None, "ParameterError"),
+    ("representative_epoch", None, "ParseError"),
+    ("representative_accuracy", None, "ParseError"),
     ("representative_epoch", 9999, "ParseError"),
     ("representative_accuracy", 0.99, "ParseError"),
     ("n_test_items", 1_000_000, "ParseError"),
@@ -165,9 +165,7 @@ def test_report_rejects_bad_sidecar(tmp_path, capsys, key, value, error):
     sidecar.write_text(json.dumps(meta))
     assert run_cli("report", *base) == 2
     err = capsys.readouterr().err
-    assert f"error[{error}]" in err
-    assert (str(sidecar) if error == "ParseError"
-            else "representative epoch") in err
+    assert f"error[{error}]" in err and str(sidecar) in err
 
 
 def test_report_needs_a_pair_count_beside_it(tmp_path, capsys):
@@ -237,8 +235,8 @@ def test_verdict_counts_the_representative_models_correct_items(tmp_path,
     # At the representative epoch the smoothed accuracy, 0.5, would round
     # to 2 of the 4 test items; that epoch's model got 3 right.
     report = rnn.TrainReport(
-        train_loss=[0.7, 0.6], val_loss=[0.7, 0.6], test_acc=[0.25, 0.75],
-        train_loss_s5=[0.7, 0.65], val_loss_s5=[0.7, 0.65],
+        train_loss=[0.75, 0.5], val_loss=[0.75, 0.5], test_acc=[0.25, 0.75],
+        train_loss_s5=[0.75, 0.625], val_loss_s5=[0.75, 0.625],
         test_acc_s5=[0.25, 0.5], representative_epoch=2,
         representative_accuracy=0.5, n_test_items=4)
     path = tmp_path / "train_report.csv"
@@ -609,6 +607,24 @@ def test_bad_step_setting_fails_before_any_stage(tmp_path, capsys, flag,
                    "--out", out) == 2
     err = capsys.readouterr().err
     assert "error[ParameterError]" in err and "must be finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--epochs", "0"], "epochs must be at least 1"),
+    (["--tolerance", "inf"], "tolerance must be finite"),
+    (["--filter-cutoff-hz", "20", "--filter-fs-hz", "inf"],
+     "sampling rate must be finite"),
+], ids=["epochs-0", "tolerance-inf", "fs-inf"])
+def test_setting_without_a_verdict_fails_before_any_write(tmp_path, capsys,
+                                                          flags, message):
+    # Zero epochs give no representative model; an infinite tolerance or
+    # rate would be frozen as Infinity, which no stage reads back.
+    out = tmp_path / "run"
+    assert run_cli("pipeline", "--system", "logistic", *TINY, *flags,
+                   "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "error[ParameterError]" in err and message in err
     assert not out.exists()
 
 

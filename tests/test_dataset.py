@@ -12,7 +12,7 @@ from surrotest.dynsys import (load_realizations, make_realizations,
                               save_realizations)
 from surrotest.errors import (LengthError, ParameterError, ParseError,
                               SplitError)
-from surrotest.rnn import TrainReport, load_report, save_report
+from surrotest.rnn import TrainReport, load_report, record_epoch, save_report
 from surrotest.spectral import SurrogateConfig
 
 
@@ -375,8 +375,10 @@ def saved_csvs(tmp_path_factory):
     ds = split_dataset(paired_dataset(originals, SurrogateConfig(seed=41)),
                        seed=42)
     save_dataset(root / "dataset.csv", ds)
-    curves = np.random.default_rng(43).uniform(0, 1, (6, 12)).tolist()
-    save_report(root / "train_report.csv", TrainReport(*curves))
+    report = TrainReport()
+    for values in np.random.default_rng(43).uniform(0, 1, (12, 3)).tolist():
+        record_epoch(report, *values)
+    save_report(root / "train_report.csv", report)
     return root
 
 

@@ -441,15 +441,6 @@ def toy_dataset():
     return split_dataset(ds, seed=32)
 
 
-def test_train_zero_epochs_returns_initialization(toy_dataset):
-    model, representative, report = train(7, toy_dataset, 0,
-                                          TrainConfig(hidden_size=4))
-    assert model.vec.tobytes() == init_model(4, seed=7).vec.tobytes()
-    assert representative is None
-    assert report.train_loss == []
-    assert report.representative_epoch is None
-
-
 def test_train_memorizes_tiny_problem():
     # Two fixed pairs, overparameterized: loss must fall over 200 epochs.
     rng = np.random.default_rng(8)
@@ -564,8 +555,10 @@ def test_representative_is_the_model_after_its_epoch(toy_dataset, seed):
 
 
 def test_train_validates_epochs(toy_dataset):
-    with pytest.raises(ParameterError):
-        train(0, toy_dataset, -1, TrainConfig(hidden_size=2))
+    # Without an epoch there is no representative model to return.
+    for epochs in (-1, 0):
+        with pytest.raises(ParameterError, match="epochs must be at least 1"):
+            train(0, toy_dataset, epochs, TrainConfig(hidden_size=2))
 
 
 @pytest.mark.parametrize("field, value", [
@@ -633,7 +626,7 @@ def test_report_round_trip(tmp_path, toy_dataset):
 
 def test_report_sidecar_must_agree_with_its_curves(tmp_path, toy_dataset):
     *_, report = train(15, toy_dataset, 4, TrainConfig(hidden_size=3))
-    epoch, acc = report.representative_epoch, report.representative_accuracy
+    acc = report.representative_accuracy
     assert acc != 0.99
     path = tmp_path / "report.csv"
     for key, value in (("representative_epoch", 9999),
@@ -642,13 +635,29 @@ def test_report_sidecar_must_agree_with_its_curves(tmp_path, toy_dataset):
         save_report(path, replace(report, **{key: value}))
         with pytest.raises(ParseError, match=f"{key} is {value}, but"):
             load_report(path)
-    # Without curves there is no representative epoch to report.
-    save_report(path, TrainReport(representative_epoch=epoch,
-                                  representative_accuracy=acc))
-    with pytest.raises(ParseError, match="representative_epoch"):
-        load_report(path)
+    # A missing representative epoch or accuracy is refused too.
+    for key in ("representative_epoch", "representative_accuracy"):
+        save_report(path, replace(report, **{key: None}))
+        with pytest.raises(ParseError, match=f"{key} is None, but"):
+            load_report(path)
     save_report(path, report)
     assert load_report(path).representative_accuracy == acc
+
+
+@pytest.mark.parametrize("column", ["train_loss_s5", "val_loss_s5",
+                                    "test_acc_s5"])
+def test_report_smoothed_cells_must_be_the_replay(tmp_path, toy_dataset,
+                                                  column):
+    # One ulp off in one smoothed cell, with the sidecar left as saved.
+    *_, report = train(15, toy_dataset, 6, TrainConfig(hidden_size=3))
+    curve = list(getattr(report, column))
+    curve[3] = float(np.nextafter(curve[3], np.inf))
+    path = tmp_path / "report.csv"
+    save_report(path, replace(report, **{column: curve}))
+    with pytest.raises(ParseError, match=f"line 5: {column} is ") as info:
+        load_report(path)
+    assert info.value.line == 5
+    assert str(path) in str(info.value)
 
 
 def test_report_test_acc_must_count_the_test_items(tmp_path):
