@@ -555,10 +555,14 @@ def test_representative_is_the_model_after_its_epoch(toy_dataset, seed):
 
 
 def test_train_validates_epochs(toy_dataset):
+    with pytest.raises(ParameterError, match="epochs must be at least 1"):
+        train(0, toy_dataset, -1, TrainConfig(hidden_size=2))
+
+
+def test_train_refuses_zero_epochs(toy_dataset):
     # Without an epoch there is no representative model to return.
-    for epochs in (-1, 0):
-        with pytest.raises(ParameterError, match="epochs must be at least 1"):
-            train(0, toy_dataset, epochs, TrainConfig(hidden_size=2))
+    with pytest.raises(ParameterError, match="epochs must be at least 1"):
+        train(7, toy_dataset, 0, TrainConfig(hidden_size=4))
 
 
 @pytest.mark.parametrize("field, value", [
