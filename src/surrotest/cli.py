@@ -87,12 +87,12 @@ class RunConfig:
         if self.filter_order < 1:
             raise ParameterError(
                 f"filter order must be positive, got {self.filter_order}")
-        # Constructors validate their own ranges.
+        # Constructors validate their own ranges.  alpha is checked for
+        # every system, since every run freezes it.
         self.train_config()
         self.surrogate_config()
         self.filter_spec()
-        if self.system == "ar1":
-            dynsys.NoiseParams(self.alpha)
+        dynsys.NoiseParams(self.alpha)
 
     def train_config(self) -> rnn.TrainConfig:
         return rnn.TrainConfig(
@@ -226,8 +226,9 @@ def cmd_surrogate(cfg: RunConfig, input_path=None, realizations=None):
     source = _stage_input(cfg, input_path, "realizations.csv")
     originals, meta, digest = realizations or _read_realizations(source)
     _check_filter(cfg, meta, source)
-    settings = asdict(cfg.surrogate_config())
-    results = pair_surrogates(originals, cfg.surrogate_config())
+    config = cfg.surrogate_config()
+    settings = asdict(config)
+    results = pair_surrogates(originals, config)
     surrogates = np.array([r.surrogate for r in results])
     dynsys.save_realizations(
         outdir / "surrogates.csv", surrogates, meta,
@@ -237,7 +238,7 @@ def cmd_surrogate(cfg: RunConfig, input_path=None, realizations=None):
         **settings,
         "pairs": [{"pair_id": i, "iterations": r.iterations,
                    "converged": r.converged,
-                   "discrepancy": min(r.discrepancy_trace)}
+                   "discrepancy": r.discrepancy}
                   for i, r in enumerate(results)],
     })
     return surrogates
@@ -267,10 +268,12 @@ def cmd_dataset(cfg: RunConfig, input_path=None, realizations=None,
         surrogates = _stored_surrogates(cfg, digest)
     if surrogates is None:
         surrogates = cmd_surrogate(cfg, input_path, realizations)
-    ds = build_dataset(originals, cfg.surrogate_config(), surrogates=surrogates)
-    ds = split_dataset(ds, stage_seed(cfg.master_seed, "split"))
+    config = cfg.surrogate_config()
+    split_seed = stage_seed(cfg.master_seed, "split")
+    ds = split_dataset(build_dataset(originals, surrogates), split_seed)
     save_dataset(cfg.outdir() / "dataset.csv", ds, extra_meta={
-        "surrogate": asdict(cfg.surrogate_config()),
+        "surrogate": asdict(config),
+        "seeds": {"surrogate": config.seed, "split": split_seed},
         "filter": meta.get("filter"),
         "master_seed": cfg.master_seed,
     })
@@ -287,7 +290,7 @@ def cmd_train(cfg: RunConfig, input_path=None, dataset=None) -> rnn.TrainReport:
     rnn.save_model(outdir / "model.json", model)
     rnn.save_model(outdir / "model_representative.json", representative)
     rnn.save_report(outdir / "train_report.csv", report,
-                    extra_meta={"N": dataset.n_pairs})
+                    extra_meta={"N": len(dataset.pairs)})
     return report
 
 

@@ -10,7 +10,7 @@ original and recognize its surrogate in the test set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -170,25 +170,18 @@ def standardize(rows) -> np.ndarray:
 
 @dataclass
 class LabeledDataset:
-    """Paired realizations as arrays, one row each, in pair order: every
-    original is directly followed by its surrogate."""
+    """N pairs, each a standardized original and its standardized
+    surrogate, with one split tag per pair."""
 
-    X: np.ndarray                 # (2N, L) standardized samples
-    y: np.ndarray                 # (2N,) int: 1 = original, 0 = surrogate
-    pair_id: np.ndarray           # (2N,) int
-    split: np.ndarray             # (2N,) str: one of SPLITS, "" if unsplit
-    seeds: dict = field(default_factory=dict)
+    pairs: np.ndarray             # (N, 2, L): original, then its surrogate
+    split: np.ndarray             # (N,) str: one of SPLITS, "" if unsplit
 
-    def __len__(self):
-        return self.X.shape[0]
-
-    @property
-    def L(self) -> int:
-        return self.X.shape[1]
-
-    @property
-    def n_pairs(self) -> int:
-        return len(set(self.pair_id.tolist()))
+    def items(self, tag: str) -> tuple:
+        """(X, y) of the pairs tagged ``tag``: each original (label 1)
+        directly followed by its surrogate (label 0)."""
+        chosen = self.pairs[self.split == tag]
+        return (chosen.reshape(-1, self.pairs.shape[2]),
+                np.tile([LABEL_ORIGINAL, LABEL_SURROGATE], len(chosen)))
 
 
 def pair_surrogates(originals, config: SurrogateConfig) -> list:
@@ -197,11 +190,10 @@ def pair_surrogates(originals, config: SurrogateConfig) -> list:
             for pid, orig in enumerate(originals)]
 
 
-def build_dataset(originals, config: SurrogateConfig,
-                  surrogates) -> LabeledDataset:
+def build_dataset(originals, surrogates) -> LabeledDataset:
     """Pair every row of the (N, L) ``originals`` with its row of the
-    (N, L) ``surrogates``, made under ``config`` (by ``pair_surrogates``
-    in the surrogate stage), and standardize both.
+    (N, L) ``surrogates`` (made by ``pair_surrogates`` in the surrogate
+    stage), and standardize both.
 
     Standardization happens after surrogate generation, so it cannot
     disturb the spectral and distribution constraints the surrogates
@@ -217,17 +209,11 @@ def build_dataset(originals, config: SurrogateConfig,
     if np.shape(surrogates) != originals.shape:
         raise LengthError("surrogate rows do not match the originals")
 
-    n, L = originals.shape
-    rows = np.empty((2 * n, L))
-    rows[0::2] = originals
-    rows[1::2] = surrogates
-    if not np.isfinite(rows).all():
+    pairs = np.stack([originals, surrogates], axis=1)
+    if not np.isfinite(pairs).all():
         raise ParameterError("all samples must be finite")
-    return LabeledDataset(X=standardize(rows),
-                          y=np.tile([LABEL_ORIGINAL, LABEL_SURROGATE], n),
-                          pair_id=np.repeat(np.arange(n), 2),
-                          split=np.full(2 * n, ""),
-                          seeds={"surrogate": config.seed})
+    return LabeledDataset(pairs=standardize(pairs),
+                          split=np.full(len(pairs), ""))
 
 
 def split_sizes(n_pairs: int) -> tuple:
@@ -244,26 +230,20 @@ def split_sizes(n_pairs: int) -> tuple:
 
 
 def split_dataset(dataset: LabeledDataset, seed: int) -> LabeledDataset:
-    """Assign whole pairs to train/validation/test in the sizes that
-    ``split_sizes`` gives."""
-    # A set, not np.unique: numpy's sort code adds about 1 MB to peak RSS.
-    pair_ids = sorted(set(dataset.pair_id.tolist()))
-    n_pairs = len(pair_ids)
-    if n_pairs < 3:
-        raise SplitError(f"need at least 3 pairs to split, got {n_pairs}")
+    """Tag whole pairs train/validation/test in the sizes that
+    ``split_sizes`` gives; test and validation must not be empty."""
+    n_pairs = len(dataset.pairs)
     n_test, n_val = split_sizes(n_pairs)
-
+    if min(n_test, n_val) < 1:
+        raise SplitError("need at least 5 pairs, so that test and validation "
+                         f"are not empty, got {n_pairs}")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
-    order = rng.permutation(n_pairs)
     # The pair at rank r of the permutation gets the r-th tag.
     ranked = np.repeat(["test", "validation", "train"],
                        [n_test, n_val, n_pairs - n_test - n_val])
-    pair_split = np.empty_like(ranked)
-    pair_split[order] = ranked
-    seeds = dict(dataset.seeds)
-    seeds["split"] = seed
-    row_pair = np.searchsorted(pair_ids, dataset.pair_id)
-    return replace(dataset, split=pair_split[row_pair], seeds=seeds)
+    split = np.empty_like(ranked)
+    split[rng.permutation(n_pairs)] = ranked
+    return replace(dataset, split=split)
 
 
 # ---------------------------------------------------------------------------
@@ -271,12 +251,15 @@ def split_dataset(dataset: LabeledDataset, seed: int) -> LabeledDataset:
 # ---------------------------------------------------------------------------
 
 def save_dataset(path, dataset: LabeledDataset, extra_meta: dict | None = None) -> None:
-    """CSV with columns [pair_id, label, split, s_0 .. s_{L-1}] + sidecar."""
-    header = ["pair_id", "label", "split"] + [f"s_{i}" for i in range(dataset.L)]
-    rows = ([pid, label, tag, *row] for pid, label, tag, row
-            in zip(dataset.pair_id.tolist(), dataset.y.tolist(),
-                   dataset.split.tolist(), dataset.X))
-    meta = {"L": dataset.L, "N": dataset.n_pairs, "seeds": dataset.seeds}
+    """CSV with columns [pair_id, label, split, s_0 .. s_{L-1}], one row
+    per item, each original directly followed by its surrogate, + sidecar."""
+    n, _, L = dataset.pairs.shape
+    header = ["pair_id", "label", "split"] + [f"s_{i}" for i in range(L)]
+    rows = ([pid, label, tag, *item]
+            for pid, (pair, tag) in enumerate(zip(dataset.pairs,
+                                                  dataset.split.tolist()))
+            for label, item in zip((LABEL_ORIGINAL, LABEL_SURROGATE), pair))
+    meta = {"L": L, "N": n}
     if extra_meta:
         meta.update(extra_meta)
     write_table(path, rows, meta, header=header)
@@ -286,45 +269,42 @@ def load_dataset(path) -> LabeledDataset:
     """Read a dataset CSV written by ``save_dataset``.
 
     A row that does not have the header's width, a cell that does not
-    parse, a label other than 0 or 1, or a split tag other than those in
-    ``SPLITS`` raises ``ParseError`` with its line number, and so does an
-    item in another split than its pair's first item.  A pair that is not
-    one original and one surrogate, or an item count other than twice the
-    sidecar's ``N`` (pairs), raises ``ParseError`` naming the file.
+    parse, or a split tag other than those in ``SPLITS`` raises
+    ``ParseError`` with its line number, and so does a data row 2i that is
+    not pair i's original (pair_id i, label 1) or a row 2i + 1 that is not
+    its surrogate (pair_id i, label 0) in its original's split.  An odd
+    item count, or one other than twice the sidecar's ``N`` (pairs),
+    raises ``ParseError`` naming the file.
     """
     meta = read_meta(path)
-    pair_id, y, split, X = [], [], [], []
-    members, pair_split = {}, {}
+    split, X = [], []
     rows = read_table(path)
     if next(rows, None) is None:
         raise LengthError(f"{path} is empty")
     for line, row in rows:
         pid, label = parse_cells(row[:2], path, line, kind=int)
-        if label not in (LABEL_ORIGINAL, LABEL_SURROGATE):
-            raise ParseError(f"{path}: line {line}: label {label} is "
-                             "neither 0 nor 1", line=line)
         if row[2] not in SPLITS:
             raise ParseError(f"{path}: line {line}: unknown split "
                              f"{row[2]!r}", line=line)
-        if pair_split.setdefault(pid, row[2]) != row[2]:
+        i, surrogate = divmod(len(X), 2)
+        want = (i, LABEL_SURROGATE if surrogate else LABEL_ORIGINAL,
+                split[-1] if surrogate else row[2])
+        if (pid, label, row[2]) != want:
+            role = f"surrogate in {want[2]!r}" if surrogate else "original"
             raise ParseError(f"{path}: line {line}: pair {pid} is in "
-                             f"{row[2]!r} here but in {pair_split[pid]!r} "
-                             "on an earlier line", line=line)
-        pair_id.append(pid)
-        y.append(label)
-        split.append(row[2])
+                             f"{row[2]!r} with label {label}, but this line "
+                             f"must hold pair {i}'s {role} (label {want[1]})",
+                             line=line)
+        if not surrogate:
+            split.append(row[2])
         X.append(np.array(parse_cells(row[3:], path, line)))
-        members.setdefault(pid, []).append(label)
     if not X:
         raise LengthError(f"{path} contains no items")
+    if len(X) % 2:
+        raise ParseError(f"{path}: {len(X)} items, so pair {len(X) // 2} "
+                         "has no surrogate")
     if "N" in meta and len(X) != 2 * meta["N"]:
         raise ParseError(f"{path}: {len(X)} items, but its sidecar says "
                          f"N = {meta['N']} pairs")
-    one_each = sorted([LABEL_ORIGINAL, LABEL_SURROGATE])
-    for pid, labels in members.items():
-        if sorted(labels) != one_each:
-            raise ParseError(f"{path}: pair {pid} is not one original and "
-                             f"one surrogate (labels {labels})")
-    return LabeledDataset(X=np.array(X), y=np.array(y),
-                          pair_id=np.array(pair_id), split=np.array(split),
-                          seeds=meta.get("seeds", {}))
+    return LabeledDataset(pairs=np.array(X).reshape(len(split), 2, -1),
+                          split=np.array(split))

@@ -358,8 +358,7 @@ def train(init_seed: int, dataset, epochs: int,
         raise ParameterError(f"epochs must be at least 1, got {epochs}")
 
     (X_train, y_train), (X_val, y_val), (X_test, y_test) = [
-        (dataset.X[dataset.split == tag], dataset.y[dataset.split == tag])
-        for tag in ("train", "validation", "test")]
+        dataset.items(tag) for tag in ("train", "validation", "test")]
     if min(len(X_train), len(X_val), len(X_test)) == 0:
         raise ParameterError("dataset needs nonempty train/validation/test splits")
 

@@ -24,7 +24,7 @@ spectrum that ``dft`` returns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,16 +81,14 @@ class SurrogateConfig:
 
 @dataclass
 class SurrogateResult:
-    """A surrogate series plus its per-iteration spectral discrepancy trace."""
+    """A surrogate series, the smallest spectral discrepancy seen while
+    making it (the returned series has it), the iterations run, and
+    whether the tolerance was reached."""
 
     surrogate: np.ndarray
-    discrepancy_trace: list = field(default_factory=list)
+    discrepancy: float
     iterations: int = 1
     converged: bool = True
-
-    def __post_init__(self):
-        if len(self.discrepancy_trace) != self.iterations:
-            raise ParameterError("trace length must equal iterations used")
 
 
 # ---------------------------------------------------------------------------
@@ -136,11 +134,6 @@ def spectral_discrepancy(a, b) -> float:
     return float(np.sqrt(np.mean((amp_a - amp_b) ** 2)) / denom)
 
 
-def _result(surrogate, trace, converged) -> SurrogateResult:
-    return SurrogateResult(surrogate=surrogate, discrepancy_trace=list(trace),
-                           iterations=len(trace), converged=converged)
-
-
 def _safe_discrepancy(x, candidate) -> float:
     # Zero-energy inputs only occur for all-zero series, whose surrogates
     # are the series itself; report a clean zero instead of failing.
@@ -161,7 +154,7 @@ def shuffle_surrogate(series, seed: int = 0) -> SurrogateResult:
         raise LengthError("shuffling needs at least 2 samples")
     rng = np.random.default_rng(seed)
     surr = rng.permutation(x)
-    return _result(surr, [_safe_discrepancy(x, surr)], True)
+    return SurrogateResult(surr, _safe_discrepancy(x, surr))
 
 
 def _phase_randomized(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -186,7 +179,7 @@ def ft_surrogate(series, seed: int = 0) -> SurrogateResult:
         raise LengthError("phase randomization needs at least 4 samples")
     rng = np.random.default_rng(seed)
     surr = _phase_randomized(x, rng)
-    return _result(surr, [_safe_discrepancy(x, surr)], True)
+    return SurrogateResult(surr, _safe_discrepancy(x, surr))
 
 
 def aaft_surrogate(series, seed: int = 0) -> SurrogateResult:
@@ -203,7 +196,7 @@ def aaft_surrogate(series, seed: int = 0) -> SurrogateResult:
     gauss_like_x = rank_order(gauss, template=x)
     randomized = _phase_randomized(gauss_like_x, rng)
     surr = rank_order(x, template=randomized)
-    return _result(surr, [_safe_discrepancy(x, surr)], True)
+    return SurrogateResult(surr, _safe_discrepancy(x, surr))
 
 
 def iaaft_surrogate(series, config: SurrogateConfig | None = None) -> SurrogateResult:
@@ -231,7 +224,7 @@ def iaaft_surrogate(series, config: SurrogateConfig | None = None) -> SurrogateR
 
     if np.all(x == x[0]):
         # Both constraints already hold; nothing to iterate.
-        return _result(x.copy(), [0.0], True)
+        return SurrogateResult(x.copy(), 0.0)
 
     rng = np.random.default_rng(config.seed)
     n = x.size
@@ -243,8 +236,7 @@ def iaaft_surrogate(series, config: SurrogateConfig | None = None) -> SurrogateR
     candidate = rng.permutation(x)
     best = candidate
     best_disc = np.inf
-    trace = []
-    for _ in range(config.max_iter):
+    for iterations in range(1, config.max_iter + 1):
         coeffs = np.fft.rfft(candidate)
         mags = np.abs(coeffs)
         # Keep phases; bins with zero magnitude get phase 1 by convention.
@@ -256,7 +248,6 @@ def iaaft_surrogate(series, config: SurrogateConfig | None = None) -> SurrogateR
         disc = float(
             np.sqrt(np.mean((np.abs(np.fft.fft(ranked)) - target_amp) ** 2)) / amp_rms
         )
-        trace.append(disc)
         if disc < best_disc:
             best_disc = disc
             best = ranked
@@ -264,7 +255,8 @@ def iaaft_surrogate(series, config: SurrogateConfig | None = None) -> SurrogateR
             break
         candidate = ranked
 
-    return _result(best, trace, best_disc <= config.tolerance)
+    return SurrogateResult(best, best_disc, iterations,
+                           best_disc <= config.tolerance)
 
 
 _GENERATORS = {

@@ -334,8 +334,7 @@ def test_filtered_system_makes_each_surrogate_once(tmp_path, monkeypatch):
     assert meta["filter"] == {"cutoff_hz": 20.0, "sampling_rate_hz": 100.0,
                               "order": 4}
     ds = load_dataset(tmp_path / "dataset.csv")
-    in_dataset = ds.X[ds.y == 0][np.argsort(ds.pair_id[ds.y == 0])]
-    assert np.array_equal(standardize(surrogates), in_dataset)
+    assert np.array_equal(standardize(surrogates), ds.pairs[:, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +434,7 @@ def test_filter_disagreeing_with_realizations_fails(tmp_path, capsys, stage,
     # Only generate filters, so a later stage's filter settings must be the
     # ones the realizations were made with, or they would be ignored.
     out = tmp_path / "run"
-    base = ["--system", "logistic", "--L", "16", "--N", "4", "--seed", "1",
+    base = ["--system", "logistic", "--L", "16", "--N", "5", "--seed", "1",
             "--out", out]
     assert run_cli("generate", *base, *generated) == 0
     frozen = (out / "config.frozen.json").read_bytes()
@@ -615,11 +614,14 @@ def test_bad_step_setting_fails_before_any_stage(tmp_path, capsys, flag,
     (["--tolerance", "inf"], "tolerance must be finite"),
     (["--filter-cutoff-hz", "20", "--filter-fs-hz", "inf"],
      "sampling rate must be finite"),
-], ids=["epochs-0", "tolerance-inf", "fs-inf"])
+    (["--alpha", "inf"], "AR coefficient must satisfy |alpha| < 1"),
+    (["--alpha", "nan"], "AR coefficient must satisfy |alpha| < 1"),
+], ids=["epochs-0", "tolerance-inf", "fs-inf", "alpha-inf", "alpha-nan"])
 def test_setting_without_a_verdict_fails_before_any_write(tmp_path, capsys,
                                                           flags, message):
-    # Zero epochs give no representative model; an infinite tolerance or
-    # rate would be frozen as Infinity, which no stage reads back.
+    # Zero epochs give no representative model; an infinite tolerance,
+    # rate or alpha would be frozen as Infinity, which no stage reads back.
+    # alpha is frozen for every system, not only ar1.
     out = tmp_path / "run"
     assert run_cli("pipeline", "--system", "logistic", *TINY, *flags,
                    "--out", out) == 2
@@ -731,25 +733,46 @@ def test_output_root_env_var(tmp_path, monkeypatch):
     assert (runs[0] / "realizations.csv").exists()
 
 
-def _relabel_pair_0_surrogate(lines):
+def _relabel_pair_0_surrogate(lines, sidecar):
     # lines: header, pair 0's original, pair 0's surrogate, ...
     assert lines[2].startswith(b"0,0,")
     return lines[:2] + [b"0,1," + lines[2][4:]] + lines[3:]
 
 
-def _move_pair_0_surrogate(lines):
+def _move_pair_0_surrogate(lines, sidecar):
     # Pair 0's surrogate goes to a split that its original is not in.
     cells = lines[2].split(b",")
     cells[2] = b"validation" if cells[2] == b"test" else b"test"
     return lines[:2] + [b",".join(cells)] + lines[3:]
 
 
+def _surrogate_before_original(lines, sidecar):
+    return lines[:1] + [lines[2], lines[1]] + lines[3:]
+
+
+def _pairs_out_of_order(lines, sidecar):
+    # Pair 1 comes first, with both of its items.
+    return lines[:1] + lines[3:5] + lines[1:3] + lines[5:]
+
+
+def _odd_count_without_sidecar(lines, sidecar):
+    sidecar.unlink()
+    return lines[:-2] + lines[-1:]      # pair 5 loses its surrogate
+
+
 @pytest.mark.parametrize("edit,message", [
-    (lambda lines: lines[:9] + lines[-1:],  # header, 8 of 12 items, ""
+    (lambda lines, sidecar: lines[:9] + lines[-1:],  # header, 8 of 12 items
      "8 items, but its sidecar says N = 6 pairs"),
     (_relabel_pair_0_surrogate,
-     "pair 0 is not one original and one surrogate"),
+     "pair 0 is in 'train' with label 1, but this line must hold pair 0's "
+     "surrogate in 'train' (label 0)"),
     (_move_pair_0_surrogate, "line 3: pair 0 is in"),
+    (_surrogate_before_original,
+     "line 2: pair 0 is in 'train' with label 0, but this line must hold "
+     "pair 0's original (label 1)"),
+    (_pairs_out_of_order, "line 2: pair 1 is in 'validation' with label 1, "
+     "but this line must hold pair 0's original"),
+    (_odd_count_without_sidecar, "11 items, so pair 5 has no surrogate"),
 ])
 def test_dataset_that_breaks_its_pairs_is_parse_error(tmp_path, capsys,
                                                       edit, message):
@@ -759,7 +782,8 @@ def test_dataset_that_breaks_its_pairs_is_parse_error(tmp_path, capsys,
     assert run_cli("generate", *base) == 0
     assert run_cli("dataset", *base) == 0
     path = out / "dataset.csv"
-    path.write_bytes(b"\r\n".join(edit(path.read_bytes().split(b"\r\n"))))
+    lines = edit(path.read_bytes().split(b"\r\n"), out / "dataset.meta.json")
+    path.write_bytes(b"\r\n".join(lines))
     assert run_cli("train", *base, "--epochs", "1", "--hidden-size", "3") == 2
     err = capsys.readouterr().err
     assert "error[ParseError]" in err and str(path) in err and message in err

@@ -234,7 +234,7 @@ def test_standardize_needs_two_samples():
 def paired_dataset(originals, config):
     """``build_dataset`` on the surrogates the surrogate stage makes."""
     surrogates = [r.surrogate for r in pair_surrogates(originals, config)]
-    return build_dataset(originals, config, surrogates)
+    return build_dataset(originals, surrogates)
 
 
 @pytest.fixture(scope="module")
@@ -246,13 +246,17 @@ def small_dataset():
 def test_build_single_pair():
     originals = make_realizations("logistic", 16, 1, seed=23)[0]
     ds = paired_dataset(originals, SurrogateConfig(seed=24))
-    assert len(ds) == 2
-    assert sorted(ds.y.tolist()) == [0, 1]
-    assert len(set(ds.pair_id.tolist())) == 1
+    assert ds.pairs.shape == (1, 2, 16)
+    assert ds.split.tolist() == [""]
+    X, y = ds.items("")
+    assert np.array_equal(X, ds.pairs[0])
+    assert y.tolist() == [1, 0]
 
 
 def test_build_label_balance(small_dataset):
-    assert np.mean(small_dataset.y) == 0.5
+    X, y = small_dataset.items("")
+    assert len(X) == 20
+    assert np.mean(y) == 0.5
 
 
 def test_build_surrogate_multiset_per_pair(small_dataset):
@@ -262,13 +266,14 @@ def test_build_surrogate_multiset_per_pair(small_dataset):
     results = pair_surrogates(originals, SurrogateConfig(seed=22))
     for pid, (orig, res) in enumerate(zip(originals, results)):
         assert np.array_equal(np.sort(orig), np.sort(res.surrogate)), pid
-        assert np.array_equal(small_dataset.X[2 * pid], standardize(orig)), pid
-        assert np.array_equal(small_dataset.X[2 * pid + 1],
+        assert np.array_equal(small_dataset.pairs[pid, 0],
+                              standardize(orig)), pid
+        assert np.array_equal(small_dataset.pairs[pid, 1],
                               standardize(res.surrogate)), pid
 
 
 def test_build_items_are_standardized(small_dataset):
-    for row in small_dataset.X:
+    for row in small_dataset.pairs.reshape(-1, 16):
         assert abs(row.mean()) < 1e-12
         assert abs(np.mean(row**2) - 1.0) < 1e-9
 
@@ -280,8 +285,7 @@ def test_build_rejects_mixed_lengths():
                                   (rows[0], rows), (rows[:0], rows),
                                   (rows, rows[:3])):
         with pytest.raises(LengthError):
-            build_dataset(originals, SurrogateConfig(seed=0),
-                          surrogates=surrogates)
+            build_dataset(originals, surrogates)
 
 
 def test_build_rejects_non_finite_rows():
@@ -290,8 +294,7 @@ def test_build_rejects_non_finite_rows():
     bad[1, 3] = np.inf
     for originals, surrogates in ((bad, rows), (rows, bad)):
         with pytest.raises(ParameterError, match="finite"):
-            build_dataset(originals, SurrogateConfig(seed=0),
-                          surrogates=surrogates)
+            build_dataset(originals, surrogates)
 
 
 # ---------------------------------------------------------------------------
@@ -302,37 +305,38 @@ def test_split_fractions_match_reference_sizes():
     # 1000 pairs -> 250 test, 225 validation (30% of 750), 525 train.
     rng = np.random.default_rng(4)
     originals = rng.normal(size=(1000, 8))
-    ds = LabeledDataset(X=np.repeat(originals, 2, axis=0),
-                        y=np.tile([1, 0], 1000),
-                        pair_id=np.repeat(np.arange(1000), 2),
-                        split=np.full(2000, ""))
+    ds = LabeledDataset(pairs=np.repeat(originals[:, None], 2, axis=1),
+                        split=np.full(1000, ""))
     out = split_dataset(ds, seed=5)
-    counts = {tag: len(set(out.pair_id[out.split == tag].tolist()))
+    counts = {tag: int(np.sum(out.split == tag))
               for tag in ("train", "validation", "test")}
     assert counts == {"train": 525, "validation": 225, "test": 250}
 
 
 def test_split_pairs_stay_together(small_dataset):
+    # A split tags whole pairs: each tag's items are its pairs, in order,
+    # each original directly followed by its own surrogate.
     for seed in range(5):
         out = split_dataset(small_dataset, seed=seed)
-        split_by_pair = {}
-        for pid, tag in zip(out.pair_id.tolist(), out.split.tolist()):
-            split_by_pair.setdefault(pid, set()).add(tag)
-        assert all(len(s) == 1 for s in split_by_pair.values())
+        assert out.split.shape == (10,)
+        assert np.array_equal(out.pairs, small_dataset.pairs)
+        for tag in SPLITS:
+            X, _ = out.items(tag)
+            assert np.array_equal(X.reshape(-1, 2, 16),
+                                  small_dataset.pairs[out.split == tag])
 
 
 def test_split_is_exhaustive_partition(small_dataset):
     out = split_dataset(small_dataset, seed=6)
     assert all(tag in SPLITS for tag in out.split.tolist())
-    assert len(out) == len(small_dataset)
+    assert sum(len(out.items(tag)[0]) for tag in SPLITS) == 20
 
 
 def test_split_class_balance_within_splits(small_dataset):
     out = split_dataset(small_dataset, seed=7)
     for tag in ("train", "validation", "test"):
-        labels = out.y[out.split == tag]
-        if labels.size:
-            assert np.mean(labels) == 0.5
+        _, labels = out.items(tag)
+        assert labels.size and np.mean(labels) == 0.5
 
 
 def test_split_deterministic(small_dataset):
@@ -342,10 +346,17 @@ def test_split_deterministic(small_dataset):
 
 
 def test_split_rejects_tiny_dataset():
-    originals = make_realizations("logistic", 16, 2, seed=25)[0]
-    ds = paired_dataset(originals, SurrogateConfig(seed=26))
-    with pytest.raises(SplitError):
-        split_dataset(ds, seed=9)
+    # Fewer than 5 pairs leave test or validation empty, so train could
+    # never use the dataset; 5 pairs fill every split.
+    originals = make_realizations("logistic", 16, 5, seed=25)[0]
+    for n_pairs in (1, 2, 3, 4):
+        ds = paired_dataset(originals[:n_pairs], SurrogateConfig(seed=26))
+        with pytest.raises(SplitError, match="at least 5 pairs"):
+            split_dataset(ds, seed=9)
+    ds = split_dataset(paired_dataset(originals, SurrogateConfig(seed=26)),
+                       seed=9)
+    assert sorted(ds.split.tolist()) == ["test", "train", "train", "train",
+                                         "validation"]
 
 
 # ---------------------------------------------------------------------------
@@ -357,12 +368,9 @@ def test_dataset_round_trip(tmp_path, small_dataset):
     path = tmp_path / "dataset.csv"
     save_dataset(path, ds, extra_meta={"note": "fixture"})
     loaded = load_dataset(path)
-    assert loaded.L == ds.L
-    assert len(loaded) == len(ds)
-    assert np.array_equal(ds.pair_id, loaded.pair_id)
-    assert np.array_equal(ds.y, loaded.y)
+    assert loaded.pairs.shape == ds.pairs.shape
     assert ds.split.tolist() == loaded.split.tolist()
-    assert np.array_equal(ds.X, loaded.X)
+    assert np.array_equal(ds.pairs, loaded.pairs)
 
 
 @pytest.fixture(scope="module")

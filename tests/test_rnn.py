@@ -34,7 +34,7 @@ def forward_one(model, x):
 
 def paired_dataset(originals, config):
     surrogates = [r.surrogate for r in pair_surrogates(originals, config)]
-    return build_dataset(originals, config, surrogates)
+    return build_dataset(originals, surrogates)
 
 
 # ---------------------------------------------------------------------------
@@ -445,13 +445,9 @@ def test_train_memorizes_tiny_problem():
     # Two fixed pairs, overparameterized: loss must fall over 200 epochs.
     rng = np.random.default_rng(8)
     from surrotest.dataset import LabeledDataset
-    X = rng.normal(size=(4, 8))             # original, surrogate per pair
-    y, pid = np.tile([1, 0], 2), np.repeat([0, 1], 2)
-    ds = LabeledDataset(X=np.concatenate([X, np.repeat(X, 2, axis=0)]),
-                        y=np.concatenate([y, np.repeat(y, 2)]),
-                        pair_id=np.concatenate([pid, np.repeat(pid, 2)]),
-                        split=np.array(["train"] * 4
-                                       + ["validation", "test"] * 4))
+    pairs = rng.normal(size=(2, 2, 8))      # original, surrogate per pair
+    ds = LabeledDataset(pairs=np.tile(pairs, (3, 1, 1)),
+                        split=np.repeat(["train", "validation", "test"], 2))
     *_, report = train(9, ds, 200, TrainConfig(hidden_size=8, lr=1e-2,
                                                shuffle_seed=10))
     assert report.train_loss[-1] < report.train_loss[0]
@@ -473,8 +469,7 @@ def reference_train(init_seed, dataset, epochs, config):
     set, Adam (0.9, 0.999, 1e-8) parameter by parameter, and the clip norm
     summed over w_out, b_out, b_h, w_in, w_rec.  Also returns how many of
     the steps were clipped."""
-    X = dataset.X[dataset.split == "train"]
-    y = dataset.y[dataset.split == "train"]
+    X, y = dataset.items("train")
     init = init_model(config.hidden_size, seed=init_seed)
     params = {k: v.copy() for k, v in named_params(init).items()}
     m = {k: np.zeros_like(v) for k, v in params.items()}

@@ -37,14 +37,13 @@ def test_realization_table_bytes(tmp_path):
 
 def test_dataset_table_bytes(tmp_path):
     ds = LabeledDataset(
-        X=np.array([V, V[::-1], [v / 2 for v in V], [-1.0, 2.0, -3.0, 4.0],
-                    [0.0, 1.5, 2.5, 1e-5], V]),
-        y=np.array([1, 0, 1, 0, 1, 0]), pair_id=np.array([0, 0, 1, 1, 2, 2]),
-        split=np.array(["train", "train", "validation", "validation",
-                        "test", "test"]),
-        seeds={"split": 5})
+        pairs=np.array([[V, V[::-1]],
+                        [[v / 2 for v in V], [-1.0, 2.0, -3.0, 4.0]],
+                        [[0.0, 1.5, 2.5, 1e-5], V]]),
+        split=np.array(["train", "validation", "test"]))
     path = tmp_path / "dataset.csv"
-    save_dataset(path, ds, extra_meta={"master_seed": 0})
+    save_dataset(path, ds,
+                 extra_meta={"master_seed": 0, "seeds": {"split": 5}})
     assert path.read_bytes() == (
         b"pair_id,label,split,s_0,s_1,s_2,s_3\r\n"
         b"0,1,train,0.10000000000000001,0.33333333333333331,-2.5e-300,1\r\n"
@@ -58,7 +57,7 @@ def test_dataset_table_bytes(tmp_path):
         b'{\n  "L": 4,\n  "N": 3,\n  "master_seed": 0,\n  "seeds": {\n'
         b'    "split": 5\n  }\n}\n')
     loaded = load_dataset(path)
-    assert np.array_equal(loaded.X, ds.X)
+    assert np.array_equal(loaded.pairs, ds.pairs)
     assert loaded.split.tolist() == ds.split.tolist()
 
 
