@@ -27,7 +27,7 @@ from .dataset import (FilterSpec, LabeledDataset, build_dataset,
                       butterworth_lowpass, load_dataset, load_series,
                       pair_surrogates, save_dataset, split_dataset,
                       split_sizes)
-from .errors import ParameterError, ParseError, SurrotestError
+from .errors import ParameterError, ParseError, SplitError, SurrotestError
 from .seeding import stage_seed
 from .series import (atomic_open, file_sha256, meta_path, read_json,
                      read_meta, write_json)
@@ -54,7 +54,6 @@ class RunConfig:
     L: int = 32
     N: int = 1000
     alpha: float = 0.2                # AR(1) coefficient, system == "ar1"
-    surrogate_algorithm: str = "iaaft"
     surrogate_max_iter: int = 100
     surrogate_tolerance: float = 1e-8
     filter_order: int = 4
@@ -102,7 +101,6 @@ class RunConfig:
 
     def surrogate_config(self) -> SurrogateConfig:
         return SurrogateConfig(
-            algorithm=self.surrogate_algorithm,
             max_iter=self.surrogate_max_iter,
             tolerance=self.surrogate_tolerance,
             seed=stage_seed(self.master_seed, "surrogate"),
@@ -232,8 +230,8 @@ def cmd_surrogate(cfg: RunConfig, input_path=None, realizations=None):
     surrogates = np.array([r.surrogate for r in results])
     dynsys.save_realizations(
         outdir / "surrogates.csv", surrogates, meta,
-        extra_meta={"algorithm": cfg.surrogate_algorithm, "source": source.name,
-                    "source_sha256": digest, "surrogate": settings})
+        extra_meta={"source": source.name, "source_sha256": digest,
+                    "surrogate": settings})
     write_json(outdir / "surrogate_report.json", {
         **settings,
         "pairs": [{"pair_id": i, "iterations": r.iterations,
@@ -336,7 +334,10 @@ def _check_test_items(report: rnn.TrainReport, source: Path) -> None:
     if isinstance(n_pairs, bool) or not isinstance(n_pairs, int):
         raise ParseError(f"{meta_path(holder)}: N is not a pair count: "
                          f"{n_pairs!r}")
-    want = 2 * split_sizes(n_pairs)[0]
+    try:
+        want = 2 * split_sizes(n_pairs)[0]
+    except SplitError as exc:
+        raise ParseError(f"{meta_path(holder)}: {exc}") from None
     if report.n_test_items != want:
         raise ParseError(f"{meta_path(source)}: n_test_items is "
                          f"{report.n_test_items}, but the split of the "
@@ -388,8 +389,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--L", type=int, help="realization length")
     parser.add_argument("--N", type=int, help="realization count")
     parser.add_argument("--alpha", type=float, help="AR(1) coefficient")
-    parser.add_argument("--surrogate-alg", dest="surrogate_algorithm",
-                        choices=SurrogateConfig.ALGORITHMS)
     parser.add_argument("--max-iter", dest="surrogate_max_iter", type=int)
     parser.add_argument("--tolerance", dest="surrogate_tolerance", type=float)
     parser.add_argument("--filter-order", dest="filter_order", type=int)
@@ -445,6 +444,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
+        if args.command == "pipeline":
+            # Too few pairs can give no verdict: fail before any write.
+            split_sizes(cfg.N)
         outdir = cfg.outdir()
         outdir.mkdir(parents=True, exist_ok=True)
         _DISPATCH[args.command](cfg, args)

@@ -15,11 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
+from . import spectral
 from .errors import LengthError, ParameterError, ParseError, SplitError
 from .seeding import derived_seed
 from .series import (as_samples, parse_cells, read_meta, read_table,
                      write_table)
-from .spectral import SurrogateConfig, make_surrogate
 
 SPLITS = ("train", "validation", "test")
 
@@ -184,9 +184,12 @@ class LabeledDataset:
                 np.tile([LABEL_ORIGINAL, LABEL_SURROGATE], len(chosen)))
 
 
-def pair_surrogates(originals, config: SurrogateConfig) -> list:
-    """One surrogate per original, on independent per-pair seed streams."""
-    return [make_surrogate(orig, replace(config, seed=derived_seed(config.seed, pid)))
+def pair_surrogates(originals, config: spectral.SurrogateConfig) -> list:
+    """One IAAFT surrogate per original, on independent per-pair seed
+    streams.  ``spectral.iaaft_surrogate`` is looked up at each call, so a
+    wrapper set on the module sees every surrogate made."""
+    return [spectral.iaaft_surrogate(
+                orig, replace(config, seed=derived_seed(config.seed, pid)))
             for pid, orig in enumerate(originals)]
 
 
@@ -220,23 +223,24 @@ def split_sizes(n_pairs: int) -> tuple:
     """(test, validation) pair counts of a split of ``n_pairs`` pairs by
     ``TRAIN_FRAC`` and ``VAL_FRAC_OF_TRAIN``.
 
-    Both are floored; the remainder stays in train.
+    Both are floored; the remainder stays in train.  Fewer than 5 pairs
+    would leave test or validation empty and raise ``SplitError``.
     """
     # The 1e-9 nudge keeps exact fractions exact (0.30 * 750 must be 225
     # pairs, not 224) despite binary rounding of the fractions themselves.
     n_test = int(np.floor((1.0 - TRAIN_FRAC) * n_pairs + 1e-9))
     n_val = int(np.floor(VAL_FRAC_OF_TRAIN * (n_pairs - n_test) + 1e-9))
+    if min(n_test, n_val) < 1:
+        raise SplitError("need at least 5 pairs, so that test and validation "
+                         f"are not empty, got {n_pairs}")
     return n_test, n_val
 
 
 def split_dataset(dataset: LabeledDataset, seed: int) -> LabeledDataset:
     """Tag whole pairs train/validation/test in the sizes that
-    ``split_sizes`` gives; test and validation must not be empty."""
+    ``split_sizes`` gives."""
     n_pairs = len(dataset.pairs)
     n_test, n_val = split_sizes(n_pairs)
-    if min(n_test, n_val) < 1:
-        raise SplitError("need at least 5 pairs, so that test and validation "
-                         f"are not empty, got {n_pairs}")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
     # The pair at rank r of the permutation gets the r-th tag.
     ranked = np.repeat(["test", "validation", "train"],

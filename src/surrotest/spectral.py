@@ -12,6 +12,9 @@ hypothesis about the input series:
 
 Each generator takes one series (a 1-D array-like of finite samples) and
 returns a ``SurrogateResult`` whose ``surrogate`` is a new 1-D array.
+The pipeline makes IAAFT surrogates only (``dataset.pair_surrogates``),
+since the paper's null is a static transform of linear noise; the other
+three are library functions.
 
 Every transform is numpy.fft, reached as ``np.fft`` at call time so that
 importing this module does not load it, and no other module calls it.
@@ -53,25 +56,17 @@ def dft(series) -> np.ndarray:
 
 @dataclass
 class SurrogateConfig:
-    """Algorithm selector and iteration budget for surrogate generation.
+    """IAAFT's iteration budget and seed.
 
     ``tolerance`` is the relative spectral discrepancy below which the
-    iterative scheme stops; ``max_iter`` caps the refinement loop.
+    iteration stops; ``max_iter`` caps the refinement loop.
     """
 
-    algorithm: str = "iaaft"
     max_iter: int = 100
     tolerance: float = 1e-8
     seed: int = 0
 
-    ALGORITHMS = ("shuffle", "ft", "aaft", "iaaft")
-
     def __post_init__(self):
-        if self.algorithm not in self.ALGORITHMS:
-            raise ParameterError(
-                f"unknown surrogate algorithm {self.algorithm!r}; "
-                f"expected one of {self.ALGORITHMS}"
-            )
         if self.max_iter < 1:
             raise ParameterError("max_iter must be at least 1")
         if not (self.tolerance > 0 and math.isfinite(self.tolerance)):
@@ -258,16 +253,3 @@ def iaaft_surrogate(series, config: SurrogateConfig | None = None) -> SurrogateR
     return SurrogateResult(best, best_disc, iterations,
                            best_disc <= config.tolerance)
 
-
-_GENERATORS = {
-    "shuffle": shuffle_surrogate,
-    "ft": ft_surrogate,
-    "aaft": aaft_surrogate,
-}
-
-
-def make_surrogate(series, config: SurrogateConfig) -> SurrogateResult:
-    """Dispatch to the configured surrogate generator."""
-    if config.algorithm == "iaaft":
-        return iaaft_surrogate(series, config)
-    return _GENERATORS[config.algorithm](series, seed=config.seed)

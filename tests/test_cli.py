@@ -175,10 +175,11 @@ def test_report_needs_a_pair_count_beside_it(tmp_path, capsys):
     assert run_cli("pipeline", *base) == 0
     sidecar = out / "dataset.meta.json"
     meta = json.loads(sidecar.read_text())
-    sidecar.write_text(json.dumps({**meta, "N": "6"}))
-    assert run_cli("report", *base) == 2
-    err = capsys.readouterr().err
-    assert "error[ParseError]" in err and str(sidecar) in err
+    for bad_n in ("6", 4):
+        sidecar.write_text(json.dumps({**meta, "N": bad_n}))
+        assert run_cli("report", *base) == 2
+        err = capsys.readouterr().err
+        assert "error[ParseError]" in err and str(sidecar) in err, bad_n
     sidecar.write_text(json.dumps({**meta, "N": 12}))
     assert run_cli("report", *base) == 2
     assert "train_report.meta.json" in capsys.readouterr().err
@@ -563,7 +564,7 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     # A typo, and keys that older versions wrote into config.frozen.json.
     for key, value in [("sytem", "logistic"), ("mode", "windowed"),
                        ("input_format", "row"), ("seed_init", 3),
-                       ("train_frac", 0.75)]:
+                       ("train_frac", 0.75), ("surrogate_algorithm", "iaaft")]:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({key: value}))
         assert run_cli("generate", "--config", cfg_path,
@@ -627,6 +628,33 @@ def test_setting_without_a_verdict_fails_before_any_write(tmp_path, capsys,
                    "--out", out) == 2
     err = capsys.readouterr().err
     assert "error[ParameterError]" in err and message in err
+    assert not out.exists()
+
+
+def test_pipeline_with_fewer_than_5_pairs_fails_before_any_write(tmp_path,
+                                                                capsys):
+    # 4 pairs leave the validation split empty, so no verdict can come of
+    # them; generate and surrogate alone still take any N.
+    out = tmp_path / "run"
+    assert run_cli("pipeline", "--system", "logistic", "--L", "16", "--N", "4",
+                   "--epochs", "3", "--hidden-size", "3", "--seed", "0",
+                   "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "error[SplitError]" in err and "at least 5 pairs" in err
+    assert not out.exists()
+    for stage in ("generate", "surrogate"):
+        assert run_cli(stage, "--system", "logistic", "--L", "16", "--N", "4",
+                       "--out", out) == 0, stage
+
+
+def test_surrogate_algorithm_flag_is_gone(tmp_path, capsys):
+    # The pipeline makes IAAFT surrogates only.
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("pipeline", "--system", "logistic", *TINY,
+                "--surrogate-alg", "ft", "--out", out)
+    assert exc.value.code == 2
+    assert "--surrogate-alg" in capsys.readouterr().err
     assert not out.exists()
 
 
