@@ -186,17 +186,20 @@ def _loss_and_gradients(model: RnnModel, X: np.ndarray, y: np.ndarray):
     dz = (p - y) / B                                      # (B,)
     # Backward sweep: deltas[t-1] is the pre-activation gradient at step t.
     # ReLU subgradient at exactly 0 is taken as 0: trace > 0 is the mask.
-    # The mask is float: multiplying by it costs less than by a bool array
-    # and gives the same bits.
-    mask = (trace[1:] > 0.0).astype(float)
-    deltas = np.empty((L, B, model.hidden_size))
-    np.multiply(np.outer(dz, model.w_out), mask[L - 1], out=deltas[L - 1])
+    # The mask goes straight into deltas as 0.0 / 1.0 (a float mask costs
+    # less to multiply by than a bool one), and each step multiplies it in
+    # place by the gradient that reaches it; the product commutes, so the
+    # bits are those of gradient times mask, and no copy of the mask is made.
+    H = model.hidden_size
+    deltas = np.empty((L, B, H))
+    np.greater(trace[1:], 0.0, out=deltas)
+    deltas[L - 1] *= np.outer(dz, model.w_out)
     w_rec = model.w_rec
-    # (deltas[t], deltas[t-1], mask[t-1]) for t = L-1 down to 1.
-    for delta, delta_prev, m in zip(deltas[:0:-1], deltas[-2::-1],
-                                    mask[-2::-1]):
-        np.dot(delta, w_rec, out=delta_prev)
-        delta_prev *= m
+    back = np.empty((B, H))
+    # (deltas[t], deltas[t-1]) for t = L-1 down to 1.
+    for delta, delta_prev in zip(deltas[:0:-1], deltas[-2::-1]):
+        np.dot(delta, w_rec, out=back)
+        delta_prev *= back
     # The gradient in the layout of model.vec.
     grad = np.concatenate((
         np.tensordot(deltas, X, axes=([0, 1], [1, 0])),                 # w_in

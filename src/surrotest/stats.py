@@ -5,7 +5,6 @@ representative epoch is ``rnn.record_epoch``."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ParameterError
 
@@ -37,6 +36,7 @@ def binomial_test(k: int, n: int, alpha: float = 0.05) -> BinomialTestResult:
     for i in range(min(k, n - k)):
         term = term * (n - i) // (i + 1)
         tail += term
-    p = float(min(Fraction(1), 2 * Fraction(tail, 2**n)))
+    # Python's int / int is correctly rounded, as float(Fraction(...)) is.
+    p = min(1.0, 2 * tail / 2**n)
     return BinomialTestResult(successes=k, trials=n, p_value=p, alpha=alpha,
                               reject=p < alpha)

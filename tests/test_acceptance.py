@@ -211,13 +211,15 @@ def test_criterion_6_numerical_kernels():
         worst_pv = max(worst_pv, abs(np.sum(np.abs(x) ** 2)
                                      - np.sum(np.abs(dft(x)) ** 2) / L))
     # Integrator oracles.
-    f_exp = lambda y, out: np.copyto(out, y)
+    f_exp = lambda y, out: lambda: np.copyto(out, y)
     _, states = rk45_integrate(f_exp, np.ones((1, 1)), 1.0, 1.0)
     e_err = abs(states[-1, 0, 0] - math.e)
 
     def f_osc(y, out):
-        out[:, 0] = y[:, 1]
-        out[:, 1] = -y[:, 0]
+        def step():
+            out[:, 0] = y[:, 1]
+            out[:, 1] = -y[:, 0]
+        return step
 
     _, osc = rk45_integrate(f_osc, np.array([[1.0, 0.0]]), 100.0, 1.0,
                             rel_tol=1e-9, abs_tol=1e-12)

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from surrotest import dynsys
-from surrotest.dynsys import (FLOW_BURN_IN, FLOW_DT, MAP_BURN_IN,
-                              NOISE_BURN_IN, FlowParams, MapParams,
-                              NoiseParams, chua_nonlinearity,
+from surrotest.dynsys import (_DP_A, _DP_E, _MAX_FACTOR, _MIN_FACTOR,
+                              _SAFETY, BURN_IN_ABS_TOL, BURN_IN_REL_TOL,
+                              ESCAPE_STATE_LIMIT, FLOW_BURN_IN, FLOW_DT,
+                              MAP_BURN_IN, NOISE_BURN_IN, FlowParams,
+                              MapParams, NoiseParams, chua_nonlinearity,
                               flow_derivative, flow_rhs, load_realizations,
                               make_realizations, rk45_integrate,
                               save_realizations)
@@ -143,7 +145,7 @@ def test_flow_kernel_writes_the_derivative_bytes(system):
     for state in (rng.normal(scale=5.0, size=(16, 3)),
                   rng.normal(scale=5.0, size=3)):
         out = np.full_like(state, np.nan)
-        flow_rhs(system)(state, out)
+        flow_rhs(system)(state, out)()
         assert out.tobytes() == flow_derivative(system, state).tobytes()
         assert out.tobytes() == reference_derivative(system, state).tobytes()
 
@@ -184,14 +186,14 @@ def test_chua_nonlinearity_odd_and_piecewise_slopes():
 # ---------------------------------------------------------------------------
 
 def test_rk45_stationary_point():
-    f = lambda y, out: out.fill(0.0)
+    f = lambda y, out: lambda: out.fill(0.0)
     y0 = np.array([[1.0, -2.0, 0.5]])
     _, states = rk45_integrate(f, y0, t_end=5.0, dt_sample=1.0)
     assert np.array_equal(states, np.tile(y0, (5, 1, 1)))
 
 
 def test_rk45_exponential_growth():
-    f = lambda y, out: np.copyto(out, y)
+    f = lambda y, out: lambda: np.copyto(out, y)
     _, states = rk45_integrate(f, np.ones((1, 1)), t_end=1.0, dt_sample=1.0,
                                rel_tol=1e-9, abs_tol=1e-12)
     assert states[-1, 0, 0] == pytest.approx(np.e, abs=1e-6)
@@ -199,7 +201,7 @@ def test_rk45_exponential_growth():
 
 @pytest.mark.parametrize("rel_tol", [1e-6, 1e-9])
 def test_rk45_local_accuracy(rel_tol):
-    f = lambda y, out: np.copyto(out, y)
+    f = lambda y, out: lambda: np.copyto(out, y)
     _, states = rk45_integrate(f, np.ones((1, 1)), t_end=1.0, dt_sample=1.0,
                                rel_tol=rel_tol, abs_tol=1e-14)
     rel_err = abs(states[-1, 0, 0] - np.e) / np.e
@@ -207,7 +209,7 @@ def test_rk45_local_accuracy(rel_tol):
 
 
 def test_rk45_halving_tolerance_never_hurts():
-    f = lambda y, out: np.copyto(out, y)
+    f = lambda y, out: lambda: np.copyto(out, y)
     errors = []
     for rel_tol in (1e-6, 5e-7, 2.5e-7, 1.25e-7):
         _, states = rk45_integrate(f, np.ones((1, 1)), t_end=1.0,
@@ -218,8 +220,10 @@ def test_rk45_halving_tolerance_never_hurts():
 
 
 def harmonic(y, out):
-    out[:, 0] = y[:, 1]
-    out[:, 1] = -y[:, 0]
+    def step():
+        out[:, 0] = y[:, 1]
+        out[:, 1] = -y[:, 0]
+    return step
 
 
 def test_rk45_harmonic_energy_conserved():
@@ -230,7 +234,7 @@ def test_rk45_harmonic_energy_conserved():
 
 
 def test_rk45_validates_arguments():
-    f = lambda y, out: np.copyto(out, y)
+    f = lambda y, out: lambda: np.copyto(out, y)
     with pytest.raises(ParameterError):
         rk45_integrate(f, np.ones((1, 1)), t_end=0.0, dt_sample=1.0)
     with pytest.raises(ParameterError):
@@ -247,7 +251,7 @@ def test_rk45_validates_arguments():
 
 def test_rk45_divergence_raises():
     # Runs smoothly past the escape bound.
-    f = lambda y, out: np.multiply(30.0, y, out=out)
+    f = lambda y, out: lambda: np.multiply(30.0, y, out=out)
     with pytest.raises(DivergenceError):
         rk45_integrate(f, np.full((1, 1), 2.0), t_end=2.0, dt_sample=2.0)
 
@@ -255,7 +259,7 @@ def test_rk45_divergence_raises():
 def test_rk45_divergence_names_the_row():
     # Row 1 grows past the escape bound; rows 0 and 2 stay put.
     rates = np.array([[0.0], [30.0], [0.0]])
-    f = lambda y, out: np.multiply(rates, y, out=out)
+    f = lambda y, out: lambda: np.multiply(rates, y, out=out)
     with pytest.raises(DivergenceError, match="row 1 diverged"):
         rk45_integrate(f, np.full((3, 1), 2.0), t_end=2.0, dt_sample=2.0)
 
@@ -265,11 +269,11 @@ def test_rk45_rows_step_independently():
     # whatever the step sizes the other rows need.
     rates = np.array([-1.0, 3.0, -40.0])
     together = rk45_integrate(
-        lambda y, out: np.multiply(rates[:, None], y, out=out),
+        lambda y, out: lambda: np.multiply(rates[:, None], y, out=out),
         np.ones((3, 1)), t_end=2.0, dt_sample=0.25)[1]
     for i, rate in enumerate(rates):
         alone = rk45_integrate(
-            lambda y, out: np.multiply(rate, y, out=out),
+            lambda y, out: lambda: np.multiply(rate, y, out=out),
             np.ones((1, 1)), t_end=2.0, dt_sample=0.25)[1]
         assert np.array_equal(together[:, i], alone[:, 0])
 
@@ -283,8 +287,10 @@ def test_rk45_rows_walk_their_own_sample_grids():
         calls = []
 
         def f(y, out):
-            calls.append(1)
-            np.multiply(rate_column, y, out=out)
+            def step():
+                calls.append(1)
+                np.multiply(rate_column, y, out=out)
+            return step
 
         rk45_integrate(f, y0, t_end=2.0, dt_sample=0.25)
         return len(calls)
@@ -295,7 +301,7 @@ def test_rk45_rows_walk_their_own_sample_grids():
 
 
 def decay(y, out):
-    np.negative(y, out=out)
+    return lambda: np.negative(y, out=out)
 
 
 def test_rk45_empty_batch_has_empty_samples():
@@ -308,7 +314,7 @@ def test_rk45_empty_batch_has_empty_samples():
 def test_rk45_finite_time_blowup_underflows():
     # dy/dt = y^2 from y0 = 2 blows up at t = 0.5; the controller chases
     # it until the step size hits the floor.
-    f = lambda y, out: np.multiply(y, y, out=out)
+    f = lambda y, out: lambda: np.multiply(y, y, out=out)
     with pytest.raises((StiffnessError, DivergenceError)):
         rk45_integrate(f, np.full((1, 1), 2.0), t_end=2.0, dt_sample=2.0)
 
@@ -322,10 +328,12 @@ def test_rk45_retries_a_non_finite_stage():
     wild = []
 
     def f(y, out):
-        np.multiply(-rates, y, out=out)
-        over = np.abs(y) > 1.0
-        wild.append(over.any())
-        out[over] = np.inf
+        def step():
+            np.multiply(-rates, y, out=out)
+            over = np.abs(y) > 1.0
+            wild.append(over.any())
+            out[over] = np.inf
+        return step
 
     times, states = rk45_integrate(f, np.ones((2, 1)), t_end=1.0,
                                    dt_sample=0.25)
@@ -335,11 +343,207 @@ def test_rk45_retries_a_non_finite_stage():
     assert np.allclose(states[:, 1, 0], np.exp(-times), rtol=1e-8, atol=0.0)
     # An RHS that is never finite is retried down to the step floor.
     with pytest.raises(StiffnessError, match="step size underflow"):
-        rk45_integrate(lambda y, out: out.fill(np.inf), np.ones((2, 1)),
+        rk45_integrate(lambda y, out: lambda: out.fill(np.inf), np.ones((2, 1)),
                        t_end=1.0, dt_sample=0.25)
     # The public derivative still refuses such a state.
     with pytest.raises(ParameterError, match="must be finite"):
         flow_derivative("lorenz", [1.0, np.inf, 0.0])
+
+
+# The byte reference for rk45_integrate: the same loop written plainly.
+# It calls an unbound kernel ``f(y, out)`` at every stage, its
+# coefficients and step size broadcast over rows and state, its constants
+# are Python scalars, and a finished row keeps its step size.
+@np.errstate(all="ignore")
+def reference_rk45(f, y0, t_end, dt_sample, rel_tol=1e-9, abs_tol=1e-12):
+    if not (np.isfinite(t_end) and t_end > 0):
+        raise ParameterError(f"t_end must be positive, got {t_end}")
+    if not (np.isfinite(dt_sample) and dt_sample > 0):
+        raise ParameterError(f"dt_sample must be positive, got {dt_sample}")
+    if not (rel_tol > 0 and abs_tol > 0):
+        raise ParameterError("tolerances must be positive")
+
+    y = np.array(y0, dtype=float)  # a copy: the loop steps it in place
+    if y.ndim != 2:
+        raise ParameterError(f"y0 must be a (rows, state) batch, "
+                             f"got shape {y.shape}")
+    rows, dim = y.shape
+    n_samples = int(np.floor(t_end / dt_sample + 1e-9))
+    if n_samples < 1:
+        raise ParameterError("no sample times fall inside the integration span")
+    sample_times = dt_sample * np.arange(1, n_samples + 1)
+    h_floor = 1e-12 * t_end
+
+    states = np.empty((n_samples, rows, dim))  # (sample, row, state)
+
+    # Every trip of the loop below runs on these buffers and views, made
+    # once per call.  Stages k0..k6 live in one array.  Coefficients
+    # broadcast over rows and state and the products are summed in stage
+    # order; a matrix product may reorder that sum and change the rounding
+    # of every sample.
+    K = np.empty((7, rows, dim))
+    products = np.empty_like(K)
+    y_stage = np.empty_like(y)
+    stages = [(_DP_A[s, :s, None, None], K[:s], products[:s], K[s])
+              for s in range(1, 7)]
+    E = _DP_E[:, None, None]
+    err, scale, size = (np.empty_like(y) for _ in range(3))
+    finite_cells = np.empty(y.shape, dtype=bool)
+    t = np.zeros(rows)
+    h = np.full(rows, min(dt_sample, t_end) * 0.01)
+    rest, step, norm, growth = (np.empty(rows) for _ in range(4))
+    active, stalled, finite, accept, reached = (
+        np.empty(rows, dtype=bool) for _ in range(5))
+    step_col, accept_col = step[:, None], accept[:, None]
+    # Each row walks the sample grid on its own: ``taken`` counts its
+    # samples, and ``t_target`` is its next sample time, -inf once it has
+    # taken all.  A time, not a count, marks a finished row because numpy's
+    # integer comparison loops add 64 KB of code pages to peak RSS.
+    taken = np.zeros(rows, dtype=np.intp)
+    targets = np.append(sample_times, -np.inf)
+    t_target = targets[taken]
+    f(y, K[0])
+    while True:
+        np.subtract(t_target, t, out=rest)
+        np.greater(rest, 0.0, out=active)
+        if not active.all() or not rows:  # all() holds for no rows too
+            # A row at its sample time (or past it, by rounding) takes the
+            # sample and heads for the next; a finished row stays done.
+            arrived = ~active & (rest > -np.inf)
+            if arrived.any():
+                states[taken[arrived], arrived] = y[arrived]
+                taken += arrived
+                t_target = targets[taken]
+                continue
+            if not active.any():
+                return sample_times, states
+        np.minimum(h, rest, out=h, where=active)
+        np.less(h, h_floor, out=stalled)
+        stalled &= active
+        if stalled.any():
+            r = int(np.argmax(stalled))
+            raise StiffnessError(f"row {r}: step size underflow ({h[r]:.3e}) "
+                                 f"at t={t[r]:.6g}; the problem looks stiff")
+        np.multiply(h, active, out=step)  # rows that are done stay put
+        for a, k_prev, prod, k_s in stages:
+            np.add.reduce(np.multiply(a, k_prev, out=prod), out=y_stage)
+            y_stage *= step_col
+            y_stage += y
+            f(y_stage, k_s)
+        # y_stage now holds the stage-6 state: the fifth-order step.
+        # A non-finite row is a wild trial step, not necessarily a lost
+        # trajectory: it is retried with a smaller step.
+        np.isfinite(y_stage, out=finite_cells)
+        np.logical_and.reduce(finite_cells, axis=-1, out=finite)
+        np.add.reduce(np.multiply(E, K, out=products), out=err)
+        err *= step_col
+        np.abs(y, out=scale)
+        np.maximum(scale, np.abs(y_stage, out=size), out=scale)
+        scale *= rel_tol
+        scale += abs_tol
+        err /= scale
+        err *= err
+        np.add.reduce(err, axis=-1, out=norm)
+        norm /= dim
+        np.sqrt(norm, out=norm)
+        np.less_equal(norm, 1.0, out=accept)
+        accept &= finite
+        accept &= active
+
+        np.add(t, step, out=t, where=accept)
+        np.greater_equal(step, rest, out=reached)
+        reached &= accept
+        np.copyto(t, t_target, where=reached)
+        np.copyto(y, y_stage, where=accept_col)
+        np.copyto(K[0], K[6], where=accept_col)  # FSAL
+        if np.abs(y, out=size).max() > ESCAPE_STATE_LIMIT:
+            escaped = accept & (size.max(axis=-1) > ESCAPE_STATE_LIMIT)
+            if escaped.any():
+                r = int(np.argmax(escaped))
+                raise DivergenceError(f"row {r} diverged near t={t[r]:.6g}",
+                                      time=float(t[r]))
+        # Step-size factor per row from its error norm: 0.9 * norm **
+        # -0.2, clipped to [_MIN_FACTOR, _MAX_FACTOR], so _MAX_FACTOR at
+        # norm 0; _MIN_FACTOR for a row whose trial step is not finite.
+        # ``float_power`` calls the C library's ``pow`` element by
+        # element, as Python's float ``**`` does.  numpy's vectorised
+        # ``power`` may round the last bit differently, and every later
+        # step of a chaotic flow would inherit the difference.
+        np.float_power(norm, -0.2, out=growth)
+        growth *= _SAFETY
+        np.maximum(growth, _MIN_FACTOR, out=growth)
+        np.minimum(growth, _MAX_FACTOR, out=growth)
+        np.multiply(h, np.where(finite, growth, _MIN_FACTOR), out=h,
+                    where=active)
+
+
+def assert_same_bytes_as_reference(bind, y0, **span):
+    """rk45_integrate(bind, ...) returns the reference's bytes; its
+    states are returned."""
+    times, states = rk45_integrate(bind, y0, **span)
+    ref_times, ref_states = reference_rk45(
+        lambda y, out: bind(y, out)(), y0, **span)
+    assert times.tobytes() == ref_times.tobytes()
+    assert states.shape == ref_states.shape
+    assert states.tobytes() == ref_states.tobytes()
+    return states
+
+
+@pytest.mark.parametrize("N", [1, 5, 16])
+@pytest.mark.parametrize("system", ["lorenz", "rossler", "chua"])
+def test_rk45_keeps_the_reference_bytes_on_flows(system, N):
+    # The burn-in and a sampled segment of a flow batch, as _batch_flow
+    # integrates them; in a batch rows take their last sample on
+    # different trips, and the finished ones ride along.
+    bind, dt = flow_rhs(system), FLOW_DT[system]
+    for seed in range(3):
+        y0 = dynsys._flow_initial_conditions(system, N, seed)
+        burn = assert_same_bytes_as_reference(
+            bind, y0, t_end=FLOW_BURN_IN, dt_sample=FLOW_BURN_IN,
+            rel_tol=BURN_IN_REL_TOL, abs_tol=BURN_IN_ABS_TOL)
+        assert_same_bytes_as_reference(bind, burn[-1], t_end=16 * dt,
+                                       dt_sample=dt)
+
+
+def test_rk45_keeps_the_reference_bytes_on_retries_and_edges():
+    span = {"t_end": 2.0, "dt_sample": 0.25}
+    # Row 0's first trial steps leave a non-finite stage and are retried.
+    rates = np.array([[1000.0], [1.0]])
+
+    def wild(y, out):
+        def step():
+            np.multiply(-rates, y, out=out)
+            out[np.abs(y) > 1.0] = np.inf
+        return step
+
+    assert_same_bytes_as_reference(wild, np.ones((2, 1)), **span)
+    assert_same_bytes_as_reference(decay, np.zeros((0, 3)), **span)
+    # Rows 0 and 1 take all their samples long before row 2, which needs
+    # the smallest steps (41 and 105 step attempts alone, against 220),
+    # and ride along with a zero step.
+    rates = np.array([[-1.0], [3.0], [-40.0]])
+    assert_same_bytes_as_reference(
+        lambda y, out: lambda: np.multiply(rates, y, out=out),
+        np.ones((3, 1)), **span)
+
+
+@pytest.mark.parametrize("bind, y0", [
+    # Row 1 escapes; y^2 blows up; a derivative that is never finite.
+    (lambda y, out: lambda: np.multiply([[0.0], [30.0], [0.0]], y, out=out),
+     np.full((3, 1), 2.0)),
+    (lambda y, out: lambda: np.multiply(y, y, out=out), np.full((1, 1), 2.0)),
+    (lambda y, out: lambda: out.fill(np.inf), np.ones((2, 1))),
+    # A NaN initial state hides the escape of row 1; row 0 stalls.
+    (lambda y, out: lambda: np.multiply(30.0 * np.ones((2, 1)), y, out=out),
+     np.array([[np.nan], [0.9e12]])),
+], ids=["escape", "blowup", "never-finite", "nan-start"])
+def test_rk45_raises_what_the_reference_raises(bind, y0):
+    with pytest.raises((StiffnessError, DivergenceError)) as got:
+        rk45_integrate(bind, y0, t_end=2.0, dt_sample=2.0)
+    with pytest.raises(type(got.value)) as want:
+        reference_rk45(lambda y, out: bind(y, out)(), y0, t_end=2.0,
+                       dt_sample=2.0)
+    assert str(got.value) == str(want.value)
 
 
 # ---------------------------------------------------------------------------
@@ -485,13 +689,13 @@ def test_loose_burn_in_samples_the_attractor_distribution(system):
     # Two-sample KS at the 1% level, 1.63 * sqrt(2 / N); the seeds are fixed.
     n = 200
     loose = batch(system, 8, n, seed=1)[:, 0]
-    f = flow_rhs(system)
+    bind = flow_rhs(system)
     y0 = dynsys._flow_initial_conditions(system, n, seed=2)
-    _, burn = rk45_integrate(f, y0, t_end=FLOW_BURN_IN,
+    _, burn = rk45_integrate(bind, y0, t_end=FLOW_BURN_IN,
                              dt_sample=FLOW_BURN_IN, rel_tol=1e-6,
                              abs_tol=1e-9)
     dt = FLOW_DT[system]
-    _, states = rk45_integrate(f, burn[-1], t_end=dt, dt_sample=dt)
+    _, states = rk45_integrate(bind, burn[-1], t_end=dt, dt_sample=dt)
     tight = states[0, :, 0]
     assert ks_statistic(loose, tight) < 1.63 * np.sqrt(2.0 / n)
 
@@ -519,13 +723,18 @@ def test_lorenz_burn_in_rhs_budget(monkeypatch):
     real = dynsys.flow_rhs
 
     def counting_rhs(*args, **kwargs):
-        rhs = real(*args, **kwargs)
+        bind = real(*args, **kwargs)
 
-        def counting(y, out):
-            calls.append(1)
-            rhs(y, out)
+        def counting_bind(y, out):
+            step = bind(y, out)
 
-        return counting
+            def counting():
+                calls.append(1)
+                step()
+
+            return counting
+
+        return counting_bind
 
     monkeypatch.setattr(dynsys, "flow_rhs", counting_rhs)
     make_realizations("lorenz", 64, 16, seed=stage_seed(0, "generation"))
