@@ -5,9 +5,8 @@ their constrained-randomization surrogates; significant accuracy above
 chance indicates structure the surrogates cannot carry.
 """
 
-from .spectral import (SurrogateConfig, SurrogateResult, aaft_surrogate,
-                       ft_surrogate, iaaft_surrogate, shuffle_surrogate,
-                       spectral_discrepancy)
+from .spectral import (SurrogateConfig, SurrogateResult, ft_surrogate,
+                       iaaft_surrogate, spectral_discrepancy)
 from .dynsys import make_realizations
 from .dataset import LabeledDataset, build_dataset, split_dataset
 from .rnn import RnnModel, TrainConfig, evaluate, train
@@ -18,9 +17,7 @@ __version__ = "0.1.0"
 __all__ = [
     "SurrogateConfig",
     "SurrogateResult",
-    "shuffle_surrogate",
     "ft_surrogate",
-    "aaft_surrogate",
     "iaaft_surrogate",
     "spectral_discrepancy",
     "make_realizations",

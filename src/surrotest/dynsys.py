@@ -300,7 +300,8 @@ def rk45_integrate(bind, y0, t_end: float, dt_sample: float,
         then rejects that row's step and retries it with a smaller one.
     y0 : array_like
         Initial states, one row each: (N, 3) for N realizations of a flow.
-        Any other number of axes is a ``ParameterError``.
+        Any other number of axes, or a value that is not finite, is a
+        ``ParameterError``; the latter names its row.
 
     Returns
     -------
@@ -318,6 +319,9 @@ def rk45_integrate(bind, y0, t_end: float, dt_sample: float,
         raise ParameterError(f"y0 must be a (rows, state) batch, "
                              f"got shape {y.shape}")
     rows, dim = y.shape
+    finite_rows = np.isfinite(y).all(axis=-1)
+    if np.count_nonzero(finite_rows) < rows:
+        raise ParameterError(f"y0 row {int(np.argmin(finite_rows))} is not finite")
     n_samples = int(np.floor(t_end / dt_sample + 1e-9))
     if n_samples < 1:
         raise ParameterError("no sample times fall inside the integration span")
@@ -425,8 +429,7 @@ def rk45_integrate(bind, y0, t_end: float, dt_sample: float,
         np.copyto(K[0], K[6], where=accept_cells)  # FSAL
         np.abs(y, out=size)
         np.greater(size, escape_limit, out=over_cells)
-        # A NaN in y0 makes the largest |y| NaN, which hides the bound.
-        if np.count_nonzero(over_cells) and not np.isnan(size).any():
+        if np.count_nonzero(over_cells):
             escaped = accept & (size.max(axis=-1) > ESCAPE_STATE_LIMIT)
             if escaped.any():
                 r = int(np.argmax(escaped))
@@ -441,7 +444,10 @@ def rk45_integrate(bind, y0, t_end: float, dt_sample: float,
         # step of a chaotic flow would inherit the difference.
         np.float_power(norm, exponent, out=growth)
         growth *= safety
-        np.maximum(growth, min_factor, out=growth)
+        # ``fmax`` also maps a NaN norm (a NaN derivative at a finite
+        # stage-6 state) to _MIN_FACTOR, where ``maximum`` would carry the
+        # NaN into h and retry the row forever.
+        np.fmax(growth, min_factor, out=growth)
         np.minimum(growth, max_factor, out=growth)
         np.logical_not(finite, out=wild)
         np.copyto(growth, min_factor, where=wild)

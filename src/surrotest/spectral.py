@@ -1,20 +1,18 @@
 """Fourier machinery and constrained-randomization surrogate generators.
 
-Four surrogate families are provided, each addressing a different null
+Two surrogate families are provided, each addressing a different null
 hypothesis about the input series:
 
-  * shuffle -- uncorrelated noise (keeps the value distribution only)
   * ft      -- linearly correlated noise (keeps the amplitude spectrum only)
-  * aaft    -- static invertible transform of linear noise (one-shot
-               rank/phase scheme, known to flatten the spectrum slightly)
-  * iaaft   -- as aaft, but iteratively refined so the surrogate matches
-               both the amplitude spectrum and the value distribution
+  * iaaft   -- static invertible transform of linear noise: iteratively
+               refined so the surrogate matches both the amplitude
+               spectrum and the value distribution
 
 Each generator takes one series (a 1-D array-like of finite samples) and
 returns a ``SurrogateResult`` whose ``surrogate`` is a new 1-D array.
 The pipeline makes IAAFT surrogates only (``dataset.pair_surrogates``),
-since the paper's null is a static transform of linear noise; the other
-three are library functions.
+since the paper's null is a static transform of linear noise; the FT
+generator is a library function.
 
 Every transform is numpy.fft, reached as ``np.fft`` at call time so that
 importing this module does not load it, and no other module calls it.
@@ -87,28 +85,8 @@ class SurrogateResult:
 
 
 # ---------------------------------------------------------------------------
-# Building blocks
+# Spectral discrepancy
 # ---------------------------------------------------------------------------
-
-def rank_order(donor_values, template) -> np.ndarray:
-    """Rearrange the donor multiset so its ranks match the template's.
-
-    The output contains exactly the values of ``donor_values`` (as a
-    multiset), placed so that the smallest donor value sits where the
-    template is smallest, and so on.  Ties in the template are broken by
-    position (stable sort), so quantized data reorders deterministically.
-    """
-    donor = as_samples(donor_values)
-    tmpl = as_samples(template)
-    if donor.size != tmpl.size:
-        raise LengthError(
-            f"donor and template lengths differ: {donor.size} != {tmpl.size}"
-        )
-    order = np.argsort(tmpl, kind="stable")
-    out = np.empty_like(donor)
-    out[order] = np.sort(donor)
-    return out
-
 
 def spectral_discrepancy(a, b) -> float:
     """Scale-free mismatch between two amplitude spectra.
@@ -129,43 +107,9 @@ def spectral_discrepancy(a, b) -> float:
     return float(np.sqrt(np.mean((amp_a - amp_b) ** 2)) / denom)
 
 
-def _safe_discrepancy(x, candidate) -> float:
-    # Zero-energy inputs only occur for all-zero series, whose surrogates
-    # are the series itself; report a clean zero instead of failing.
-    try:
-        return spectral_discrepancy(x, candidate)
-    except NormalizationError:
-        return 0.0
-
-
 # ---------------------------------------------------------------------------
 # Surrogate generators
 # ---------------------------------------------------------------------------
-
-def shuffle_surrogate(series, seed: int = 0) -> SurrogateResult:
-    """Uniform random permutation of the series (multiset preserved)."""
-    x = as_samples(series)
-    if x.size < 2:
-        raise LengthError("shuffling needs at least 2 samples")
-    rng = np.random.default_rng(seed)
-    surr = rng.permutation(x)
-    return SurrogateResult(surr, _safe_discrepancy(x, surr))
-
-
-def _phase_randomized(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Randomize the free Fourier phases of a real series.
-
-    The DC bin (and the Nyquist bin for even lengths) is self-conjugate
-    and is left untouched; every other bin of the half spectrum gets a
-    fresh uniform phase.
-    """
-    n = x.size
-    coeffs = np.fft.rfft(x)
-    n_free = (n - 1) // 2
-    phases = rng.uniform(0.0, _TWO_PI, size=n_free)
-    coeffs[1 : n_free + 1] = np.abs(coeffs[1 : n_free + 1]) * np.exp(1j * phases)
-    return np.fft.irfft(coeffs, n)
-
 
 def ft_surrogate(series, seed: int = 0) -> SurrogateResult:
     """Phase-randomized surrogate (amplitude spectrum preserved exactly)."""
@@ -173,25 +117,22 @@ def ft_surrogate(series, seed: int = 0) -> SurrogateResult:
     if x.size < 4:
         raise LengthError("phase randomization needs at least 4 samples")
     rng = np.random.default_rng(seed)
-    surr = _phase_randomized(x, rng)
-    return SurrogateResult(surr, _safe_discrepancy(x, surr))
-
-
-def aaft_surrogate(series, seed: int = 0) -> SurrogateResult:
-    """Amplitude-adjusted phase randomization (multiset preserved exactly).
-
-    Rank-remaps a Gaussian draw onto the series, phase-randomizes it, and
-    rank-remaps the original values back onto the result.
-    """
-    x = as_samples(series)
-    if x.size < 4:
-        raise LengthError("amplitude adjustment needs at least 4 samples")
-    rng = np.random.default_rng(seed)
-    gauss = rng.standard_normal(x.size)
-    gauss_like_x = rank_order(gauss, template=x)
-    randomized = _phase_randomized(gauss_like_x, rng)
-    surr = rank_order(x, template=randomized)
-    return SurrogateResult(surr, _safe_discrepancy(x, surr))
+    n = x.size
+    coeffs = np.fft.rfft(x)
+    # The DC bin (and the Nyquist bin for even lengths) is self-conjugate
+    # and is left untouched; every other bin of the half spectrum gets a
+    # fresh uniform phase.
+    n_free = (n - 1) // 2
+    phases = rng.uniform(0.0, _TWO_PI, size=n_free)
+    coeffs[1 : n_free + 1] = np.abs(coeffs[1 : n_free + 1]) * np.exp(1j * phases)
+    surr = np.fft.irfft(coeffs, n)
+    try:
+        disc = spectral_discrepancy(x, surr)
+    except NormalizationError:
+        # Zero spectral energy occurs only for an all-zero series, whose
+        # surrogate is the series itself; report a clean zero.
+        disc = 0.0
+    return SurrogateResult(surr, disc)
 
 
 def iaaft_surrogate(series, config: SurrogateConfig | None = None) -> SurrogateResult:

@@ -247,6 +247,13 @@ def test_rk45_validates_arguments():
     for shape in ((3,), (2, 4, 3)):
         with pytest.raises(ParameterError, match=r"\(rows, state\) batch"):
             rk45_integrate(f, np.ones(shape), t_end=1.0, dt_sample=1.0)
+    # A non-finite initial state is refused, naming its row, before the
+    # first step: ``never`` fails the test if it is stepped.
+    never = lambda y, out: lambda: pytest.fail("stepped a non-finite y0")
+    for y0, row in (([[np.nan], [0.9e12]], 0),
+                    ([[1.0, 0.0], [0.0, 1.0], [1.0, -np.inf]], 2)):
+        with pytest.raises(ParameterError, match=f"y0 row {row} is not finite"):
+            rk45_integrate(never, np.array(y0), t_end=2.0, dt_sample=2.0)
 
 
 def test_rk45_divergence_raises():
@@ -348,6 +355,28 @@ def test_rk45_retries_a_non_finite_stage():
     # The public derivative still refuses such a state.
     with pytest.raises(ParameterError, match="must be finite"):
         flow_derivative("lorenz", [1.0, np.inf, 0.0])
+
+
+def test_rk45_retries_a_nan_error_norm():
+    # The 7th step() call is the first attempt's stage 6: its state is
+    # finite, but the derivative there is NaN, and so is the error norm.
+    # That attempt is rejected and retried with a smaller step.  The budget
+    # makes a regression that retries it forever fail instead of hang.
+    calls = []
+
+    def f(y, out):
+        def step():
+            calls.append(1)
+            if len(calls) > 10_000:
+                pytest.fail("rk45_integrate exceeded 10,000 step() calls")
+            np.copyto(out, y)
+            if len(calls) == 7:
+                out.fill(np.nan)
+        return step
+
+    times, states = rk45_integrate(f, np.ones((1, 1)), t_end=1.0,
+                                   dt_sample=0.5)
+    assert np.allclose(states[:, 0, 0], np.exp(times), rtol=1e-8, atol=0.0)
 
 
 # The byte reference for rk45_integrate: the same loop written plainly.
@@ -527,22 +556,30 @@ def test_rk45_keeps_the_reference_bytes_on_retries_and_edges():
         np.ones((3, 1)), **span)
 
 
-@pytest.mark.parametrize("bind, y0", [
+@pytest.mark.parametrize("bind, y0, refusal", [
     # Row 1 escapes; y^2 blows up; a derivative that is never finite.
     (lambda y, out: lambda: np.multiply([[0.0], [30.0], [0.0]], y, out=out),
-     np.full((3, 1), 2.0)),
-    (lambda y, out: lambda: np.multiply(y, y, out=out), np.full((1, 1), 2.0)),
-    (lambda y, out: lambda: out.fill(np.inf), np.ones((2, 1))),
-    # A NaN initial state hides the escape of row 1; row 0 stalls.
+     np.full((3, 1), 2.0), None),
+    (lambda y, out: lambda: np.multiply(y, y, out=out), np.full((1, 1), 2.0),
+     None),
+    (lambda y, out: lambda: out.fill(np.inf), np.ones((2, 1)), None),
+    # A NaN initial state: the reference hides the escape of row 1 and
+    # stalls on row 0; rk45_integrate refuses row 0 before its first step.
     (lambda y, out: lambda: np.multiply(30.0 * np.ones((2, 1)), y, out=out),
-     np.array([[np.nan], [0.9e12]])),
+     np.array([[np.nan], [0.9e12]]), "y0 row 0 is not finite"),
 ], ids=["escape", "blowup", "never-finite", "nan-start"])
-def test_rk45_raises_what_the_reference_raises(bind, y0):
-    with pytest.raises((StiffnessError, DivergenceError)) as got:
-        rk45_integrate(bind, y0, t_end=2.0, dt_sample=2.0)
-    with pytest.raises(type(got.value)) as want:
+def test_rk45_raises_what_the_reference_raises(bind, y0, refusal):
+    with pytest.raises((StiffnessError, DivergenceError)) as want:
         reference_rk45(lambda y, out: bind(y, out)(), y0, t_end=2.0,
                        dt_sample=2.0)
+    if refusal is not None:
+        assert want.type is StiffnessError
+        assert str(want.value).startswith("row 0: step size underflow")
+        with pytest.raises(ParameterError, match=refusal):
+            rk45_integrate(bind, y0, t_end=2.0, dt_sample=2.0)
+        return
+    with pytest.raises(type(want.value)) as got:
+        rk45_integrate(bind, y0, t_end=2.0, dt_sample=2.0)
     assert str(got.value) == str(want.value)
 
 
