@@ -1,8 +1,9 @@
 """Command-line pipeline: generate -> surrogate -> dataset -> train -> report.
 
-Configuration precedence is flag > config file > default.  A frozen copy of
-the fully resolved configuration is written into every output directory, and
-re-running from that frozen file reproduces every artifact byte for byte.
+A run is configured by what a run varies (``RunConfig``): flag > config
+file > default.  A frozen copy of the fully resolved configuration is
+written into every output directory, and re-running from that frozen file
+reproduces every artifact byte for byte.
 One master seed derives all stage seeds (see ``seeding``), so a single
 integer pins a whole run.
 
@@ -47,7 +48,8 @@ VERDICT_ALPHA = 0.05
 
 @dataclass
 class RunConfig:
-    """Fully resolved settings for one run; validated before any work."""
+    """Fully resolved settings for one run; validated before any work.
+    Tolerance, filter order, batch size and clip norm are library defaults."""
 
     system: str = "logistic"
     input: str | None = None          # record file for system == "file"
@@ -55,15 +57,11 @@ class RunConfig:
     N: int = 1000
     alpha: float = 0.2                # AR(1) coefficient, system == "ar1"
     surrogate_max_iter: int = 100
-    surrogate_tolerance: float = 1e-8
-    filter_order: int = 4
     filter_cutoff_hz: float | None = None
     filter_fs_hz: float | None = None
     hidden_size: int = 10
     epochs: int = 400
     learning_rate: float = 1e-4
-    batch_size: int = 16
-    clip_norm: float | None = 5.0
     master_seed: int = 0
     out: str | None = None
 
@@ -83,9 +81,6 @@ class RunConfig:
         if self.master_seed < 0:
             raise ParameterError(
                 f"master_seed must be nonnegative, got {self.master_seed}")
-        if self.filter_order < 1:
-            raise ParameterError(
-                f"filter order must be positive, got {self.filter_order}")
         # Constructors validate their own ranges.  alpha is checked for
         # every system, since every run freezes it.
         self.train_config()
@@ -96,15 +91,11 @@ class RunConfig:
     def train_config(self) -> rnn.TrainConfig:
         return rnn.TrainConfig(
             hidden_size=self.hidden_size, lr=self.learning_rate,
-            batch_size=self.batch_size, clip_norm=self.clip_norm,
             shuffle_seed=stage_seed(self.master_seed, "shuffle"))
 
     def surrogate_config(self) -> SurrogateConfig:
-        return SurrogateConfig(
-            max_iter=self.surrogate_max_iter,
-            tolerance=self.surrogate_tolerance,
-            seed=stage_seed(self.master_seed, "surrogate"),
-        )
+        return SurrogateConfig(max_iter=self.surrogate_max_iter,
+                               seed=stage_seed(self.master_seed, "surrogate"))
 
     def filter_spec(self) -> FilterSpec | None:
         given = [self.filter_cutoff_hz, self.filter_fs_hz]
@@ -114,8 +105,7 @@ class RunConfig:
             raise ParameterError(
                 "filter needs both filter_cutoff_hz and filter_fs_hz")
         return FilterSpec(cutoff_hz=self.filter_cutoff_hz,
-                          sampling_rate_hz=self.filter_fs_hz,
-                          order=self.filter_order)
+                          sampling_rate_hz=self.filter_fs_hz)
 
     def outdir(self) -> Path:
         if self.out:
@@ -321,19 +311,15 @@ def _check_test_items(report: rnn.TrainReport, source: Path) -> None:
     sidecar beside the report or, without one, from the report's own
     sidecar, where ``train`` records it; a report with neither is
     refused."""
-    holder = source.with_name("dataset.csv")
-    n_pairs = read_meta(holder).get("N")
-    if n_pairs is None:
-        holder = source
+    for holder in (source.with_name("dataset.csv"), source):
         n_pairs = read_meta(holder).get("N")
-    if n_pairs is None:
+        if n_pairs is not None:
+            break
+    else:
         raise ParseError(f"{meta_path(source)} records no pair count N and "
                          f"no {meta_path(source.with_name('dataset.csv'))} "
                          "lies beside it, so n_test_items cannot be "
                          "checked; run train again")
-    if isinstance(n_pairs, bool) or not isinstance(n_pairs, int):
-        raise ParseError(f"{meta_path(holder)}: N is not a pair count: "
-                         f"{n_pairs!r}")
     try:
         want = 2 * split_sizes(n_pairs)[0]
     except SplitError as exc:
@@ -390,15 +376,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--N", type=int, help="realization count")
     parser.add_argument("--alpha", type=float, help="AR(1) coefficient")
     parser.add_argument("--max-iter", dest="surrogate_max_iter", type=int)
-    parser.add_argument("--tolerance", dest="surrogate_tolerance", type=float)
-    parser.add_argument("--filter-order", dest="filter_order", type=int)
     parser.add_argument("--filter-cutoff-hz", dest="filter_cutoff_hz", type=float)
     parser.add_argument("--filter-fs-hz", dest="filter_fs_hz", type=float)
-    parser.add_argument("--hidden-size", "--H", dest="hidden_size", type=int)
+    parser.add_argument("--hidden-size", dest="hidden_size", type=int)
     parser.add_argument("--epochs", type=int)
     parser.add_argument("--lr", dest="learning_rate", type=float)
-    parser.add_argument("--batch-size", dest="batch_size", type=int)
-    parser.add_argument("--clip-norm", dest="clip_norm", type=float)
     parser.add_argument("--seed", dest="master_seed", type=int,
                         help="master seed; stage seeds derive from it")
 

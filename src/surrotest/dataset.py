@@ -18,8 +18,8 @@ import numpy as np
 from . import spectral
 from .errors import LengthError, ParameterError, ParseError, SplitError
 from .seeding import derived_seed
-from .series import (as_samples, parse_cells, read_meta, read_table,
-                     write_table)
+from .series import (as_samples, open_text, parse_cells, read_meta,
+                     read_table, write_table)
 
 SPLITS = ("train", "validation", "test")
 
@@ -42,15 +42,15 @@ BLOCK = 1 << 14
 
 def load_series(path) -> np.ndarray:
     """Read a record from disk: one numeral per line, comma-separated
-    numerals, or both, in file order.  Blank lines are skipped; anything
-    else that does not parse raises with its 1-based line number.
+    numerals, or both, in file order.  Blank lines are skipped; any other
+    line that does not parse, or is not UTF-8, raises with its number.
 
     Parsed values go into float64 blocks of about ``BLOCK`` samples, so
     only the current block (or line, if longer) is held as Python floats.
     """
     path = Path(path)
     blocks, values = [], []
-    with open(path) as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if not text:

@@ -57,14 +57,30 @@ def meta_path(path) -> Path:
     return path.with_name(path.stem + ".meta.json")
 
 
+@contextmanager
+def open_text(path, newline=None):
+    """``path`` opened for reading as UTF-8; bytes that are not UTF-8
+    raise ``ParseError`` naming the file and the first line holding them."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError:
+        # Decoding is chunked; only a line that is not UTF-8 changes here.
+        with open(path, "rb") as fh:
+            line = next(n for n, raw in enumerate(fh, start=1)
+                        if raw.decode("utf-8", "replace").encode() != raw)
+        raise ParseError(f"{path}: line {line}: not UTF-8 text",
+                         line=line) from None
+
+
 def read_json(path):
-    """The parsed JSON file ``path``; malformed JSON raises ``ParseError``
-    naming the file and line, and a ``NaN`` or ``Infinity`` constant
-    raises ``ParseError`` naming the file."""
+    """The parsed JSON file ``path``; malformed JSON or text that is not
+    UTF-8 raises ``ParseError`` naming the file and line, and a ``NaN`` or
+    ``Infinity`` constant raises ``ParseError`` naming the file."""
     def refuse(constant):
         raise ParseError(f"{path}: {constant} is not a finite number")
 
-    with open(path) as fh:
+    with open_text(path) as fh:
         try:
             return json.load(fh, parse_constant=refuse)
         except json.JSONDecodeError as exc:
@@ -72,15 +88,22 @@ def read_json(path):
                              line=exc.lineno) from None
 
 
-def read_meta(path) -> dict:
-    """The sidecar of ``path``, or {} when there is none; a sidecar whose
-    top level is not a JSON object raises ``ParseError`` naming it."""
+def read_meta(path, types: dict | None = None) -> dict:
+    """The sidecar of ``path``, or {} without one.  A top level that is not
+    an object, an ``L`` or ``N`` that is not a JSON integer, or a key of
+    ``types`` (key -> types) of another JSON type raises ``ParseError``."""
     sidecar = meta_path(path)
     if not sidecar.exists():
         return {}
     meta = read_json(sidecar)
     if not isinstance(meta, dict):
         raise ParseError(f"{sidecar}: the top level must be a JSON object")
+    for key, allowed in {"L": int, "N": int, **(types or {})}.items():
+        value = meta.get(key)
+        if key in meta and (isinstance(value, bool)
+                            or not isinstance(value, allowed)):
+            raise ParseError(f"{sidecar}: {key} has the wrong type: "
+                             f"{json.dumps(value)}")
     return meta
 
 
@@ -117,8 +140,8 @@ def write_table(path, rows, meta: dict, header=None) -> None:
 def read_table(path, width: int | None = None):
     """Yield ``(line, cells)`` for each nonempty CSV row, with its 1-based
     line number.  A row that is not ``width`` cells wide (without a width:
-    as wide as the first row) raises ``ParseError`` naming the line."""
-    with open(path, newline="") as fh:
+    as wide as the first), or not UTF-8, raises ``ParseError`` naming it."""
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         for cells in reader:
             if not cells:

@@ -412,43 +412,53 @@ def test_dataset_filter_precedes_surrogates(tmp_path):
                            atol=1e-12), pid
 
 
-def filter_json(flags: list) -> str:
-    """The filter that ``flags`` ask for, as the CLI's messages print it."""
+def filter_dict(flags: list, order: int = 4) -> dict | None:
+    """The filter that ``flags`` ask for, as the sidecars record it."""
     if not flags:
-        return "null"
+        return None
     given = dict(zip(flags[::2], flags[1::2]))
-    return json.dumps({"cutoff_hz": float(given["--filter-cutoff-hz"]),
-                       "order": int(given.get("--filter-order", 4)),
-                       "sampling_rate_hz": float(given["--filter-fs-hz"])},
-                      sort_keys=True)
+    return {"cutoff_hz": float(given["--filter-cutoff-hz"]), "order": order,
+            "sampling_rate_hz": float(given["--filter-fs-hz"])}
 
 
 @pytest.mark.parametrize("stage", ["surrogate", "dataset"])
-@pytest.mark.parametrize("generated, later", [
-    ([], FILTER),
-    (FILTER, []),
-    (FILTER, ["--filter-cutoff-hz", "10", "--filter-fs-hz", "100"]),
-    (FILTER, [*FILTER, "--filter-order", "2"]),
+@pytest.mark.parametrize("generated, later, recorded_order", [
+    ([], FILTER, None),
+    (FILTER, [], None),
+    (FILTER, ["--filter-cutoff-hz", "10", "--filter-fs-hz", "100"], None),
+    (FILTER, FILTER, 2),
 ], ids=["added", "dropped", "other-cutoff", "other-order"])
 def test_filter_disagreeing_with_realizations_fails(tmp_path, capsys, stage,
-                                                    generated, later):
+                                                    generated, later,
+                                                    recorded_order):
     # Only generate filters, so a later stage's filter settings must be the
-    # ones the realizations were made with, or they would be ignored.
+    # ones the realizations were made with, or they would be ignored.  The
+    # order is no setting, so other-order edits the recorded one.
     out = tmp_path / "run"
     base = ["--system", "logistic", "--L", "16", "--N", "5", "--seed", "1",
             "--out", out]
     assert run_cli("generate", *base, *generated) == 0
     frozen = (out / "config.frozen.json").read_bytes()
+    sidecar = out / "realizations.meta.json"
+    as_generated = sidecar.read_bytes()
+    recorded = filter_dict(generated)
+    if recorded_order is not None:
+        recorded["order"] = recorded_order
+        sidecar.write_text(json.dumps({**json.loads(as_generated),
+                                       "filter": recorded}))
     capsys.readouterr()
     assert run_cli(stage, *base, *later) == 2
     err = capsys.readouterr().err
     assert "error[ParameterError]" in err
-    assert f"generated with filter {filter_json(generated)}," in err
-    assert f"asks for filter {filter_json(later)};" in err
+    assert ("generated with filter "
+            f"{json.dumps(recorded, sort_keys=True)},") in err
+    assert ("asks for filter "
+            f"{json.dumps(filter_dict(later), sort_keys=True)};") in err
     assert not (out / "surrogates.csv").exists()
     assert not (out / "dataset.csv").exists()
     # The frozen config still describes the last command that succeeded.
     assert (out / "config.frozen.json").read_bytes() == frozen
+    sidecar.write_bytes(as_generated)
     assert run_cli(stage, *base, *generated) == 0
 
 
@@ -564,7 +574,9 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     # A typo, and keys that older versions wrote into config.frozen.json.
     for key, value in [("sytem", "logistic"), ("mode", "windowed"),
                        ("input_format", "row"), ("seed_init", 3),
-                       ("train_frac", 0.75), ("surrogate_algorithm", "iaaft")]:
+                       ("train_frac", 0.75), ("surrogate_algorithm", "iaaft"),
+                       ("surrogate_tolerance", 1e-8), ("batch_size", 16),
+                       ("clip_norm", 5.0), ("filter_order", 4)]:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({key: value}))
         assert run_cli("generate", "--config", cfg_path,
@@ -583,23 +595,7 @@ def test_config_of_wrong_shape_is_parameter_error(tmp_path, capsys, text):
     assert "error[ParameterError]" in err and f"{cfg_path}: " in err
 
 
-def test_filter_order_zero_is_parameter_error(tmp_path, capsys):
-    # With a filter, and without one: the order is frozen into the config
-    # either way.
-    for filter_flags in (["--filter-cutoff-hz", "2.0", "--filter-fs-hz", "20.0"],
-                         []):
-        out = tmp_path / "run"
-        assert run_cli("generate", "--system", "logistic", "--L", "16",
-                       "--N", "3", "--filter-order", "0", *filter_flags,
-                       "--out", out) == 2, filter_flags
-        err = capsys.readouterr().err
-        assert "error[ParameterError]" in err and "filter order" in err
-        assert not out.exists()
-
-
-@pytest.mark.parametrize("flag, value", [
-    ("--clip-norm", "-1"), ("--clip-norm", "0"), ("--clip-norm", "nan"),
-    ("--clip-norm", "inf"), ("--lr", "inf")])
+@pytest.mark.parametrize("flag, value", [("--lr", "inf")])
 def test_bad_step_setting_fails_before_any_stage(tmp_path, capsys, flag,
                                                  value):
     out = tmp_path / "run"
@@ -612,16 +608,17 @@ def test_bad_step_setting_fails_before_any_stage(tmp_path, capsys, flag,
 
 @pytest.mark.parametrize("flags, message", [
     (["--epochs", "0"], "epochs must be at least 1"),
-    (["--tolerance", "inf"], "tolerance must be finite"),
+    (["--max-iter", "0"], "max_iter must be at least 1"),
     (["--filter-cutoff-hz", "20", "--filter-fs-hz", "inf"],
      "sampling rate must be finite"),
     (["--alpha", "inf"], "AR coefficient must satisfy |alpha| < 1"),
     (["--alpha", "nan"], "AR coefficient must satisfy |alpha| < 1"),
-], ids=["epochs-0", "tolerance-inf", "fs-inf", "alpha-inf", "alpha-nan"])
+], ids=["epochs-0", "max-iter-0", "fs-inf", "alpha-inf", "alpha-nan"])
 def test_setting_without_a_verdict_fails_before_any_write(tmp_path, capsys,
                                                           flags, message):
-    # Zero epochs give no representative model; an infinite tolerance,
-    # rate or alpha would be frozen as Infinity, which no stage reads back.
+    # Zero epochs give no representative model, and zero iterations no
+    # surrogate; an infinite rate or alpha would be frozen as Infinity,
+    # which no stage reads back.
     # alpha is frozen for every system, not only ar1.
     out = tmp_path / "run"
     assert run_cli("pipeline", "--system", "logistic", *TINY, *flags,
@@ -648,14 +645,20 @@ def test_pipeline_with_fewer_than_5_pairs_fails_before_any_write(tmp_path,
 
 
 def test_surrogate_algorithm_flag_is_gone(tmp_path, capsys):
-    # The pipeline makes IAAFT surrogates only.
+    # The pipeline makes IAAFT surrogates only, and a run does not set
+    # IAAFT's tolerance, the filter order, the batch size or the clip norm;
+    # --H is no spelling of --hidden-size.
     out = tmp_path / "run"
-    with pytest.raises(SystemExit) as exc:
-        run_cli("pipeline", "--system", "logistic", *TINY,
-                "--surrogate-alg", "ft", "--out", out)
-    assert exc.value.code == 2
-    assert "--surrogate-alg" in capsys.readouterr().err
-    assert not out.exists()
+    for flag, value in [("--surrogate-alg", "ft"), ("--tolerance", "1e-8"),
+                        ("--batch-size", "16"), ("--clip-norm", "5"),
+                        ("--filter-order", "4"), ("--H", "3")]:
+        with pytest.raises(SystemExit) as exc:
+            run_cli("pipeline", "--system", "logistic", *TINY, flag, value,
+                    "--out", out)
+        assert exc.value.code == 2, flag
+        assert f"unrecognized arguments: {flag} " in (
+            capsys.readouterr().err), flag
+        assert not out.exists(), flag
 
 
 def test_negative_seed_flag_is_parameter_error(tmp_path, capsys):
@@ -691,6 +694,87 @@ def test_sidecar_not_object_is_parse_error(tmp_path, capsys, artifact,
     assert run_cli(reader, "--system", "logistic", "--out", out, *TINY) == 2
     err = capsys.readouterr().err
     assert "error[ParseError]" in err and str(sidecar) in err
+
+
+@pytest.mark.parametrize("key, value", [("N", 6.0), ("N", None),
+                                        ("N", True), ("L", 16.0)])
+def test_realizations_sidecar_count_must_be_an_integer(tmp_path, capsys,
+                                                        key, value):
+    out = tmp_path / "run"
+    base = ["--system", "logistic", "--L", "16", "--N", "6", "--seed", "1",
+            "--out", out]
+    assert run_cli("generate", *base) == 0
+    sidecar = out / "realizations.meta.json"
+    sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()),
+                                   key: value}))
+    assert run_cli("surrogate", *base) == 2
+    err = capsys.readouterr().err
+    assert "error[ParseError]" in err
+    assert f"{sidecar}: {key} has the wrong type: {json.dumps(value)}" in err
+    assert not (out / "surrogates.csv").exists()
+
+
+@pytest.mark.parametrize("key, value", [("N", None), ("N", 6.0), ("N", "6"),
+                                        ("L", 16.0), ("L", True)])
+def test_dataset_sidecar_count_must_be_an_integer(tmp_path, capsys, key,
+                                                   value):
+    out = tmp_path / "run"
+    base = ["--system", "logistic", "--out", out] + TINY
+    for stage in ("generate", "dataset"):
+        assert run_cli(stage, *base) == 0, stage
+    sidecar = out / "dataset.meta.json"
+    sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()),
+                                   key: value}))
+    assert run_cli("train", *base) == 2
+    err = capsys.readouterr().err
+    assert "error[ParseError]" in err
+    assert f"{sidecar}: {key} has the wrong type: {json.dumps(value)}" in err
+    assert not (out / "train_report.csv").exists()
+
+
+def test_record_that_is_not_utf8_is_parse_error(tmp_path, capsys):
+    # Text is decoded in chunks, so the bad line lies far past the first.
+    record = tmp_path / "record.txt"
+    lines = [f"{np.sin(0.3 * i):.17g}".encode() for i in range(5000)]
+    lines[4321] = b"0.5\xff"
+    record.write_bytes(b"\n".join(lines) + b"\n")
+    out = tmp_path / "run"
+    assert run_cli("generate", "--system", "file", "--input", record,
+                   "--out", out, *TINY) == 2
+    err = capsys.readouterr().err
+    assert "error[ParseError]" in err
+    assert f"{record}: line 4322: not UTF-8 text" in err
+    assert not (out / "realizations.csv").exists()
+
+
+@pytest.mark.parametrize("artifact", ["realizations.csv",
+                                      "realizations.meta.json"])
+def test_artifact_that_is_not_utf8_is_parse_error(tmp_path, capsys,
+                                                  artifact):
+    out = tmp_path / "run"
+    base = ["--system", "logistic", "--L", "16", "--N", "6", "--seed", "1",
+            "--out", out]
+    assert run_cli("generate", *base) == 0
+    path = out / artifact
+    lines = path.read_bytes().split(b"\n")
+    lines[2] = b"\xe9" + lines[2]
+    path.write_bytes(b"\n".join(lines))
+    assert run_cli("surrogate", *base) == 2
+    err = capsys.readouterr().err
+    assert "error[ParseError]" in err
+    assert f"{path}: line 3: not UTF-8 text" in err
+    assert not (out / "surrogates.csv").exists()
+
+
+def test_config_that_is_not_utf8_is_parse_error(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(b'{"system": "logistic",\n "L": 16\xc3}\n')
+    out = tmp_path / "run"
+    assert run_cli("generate", "--config", cfg_path, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "error[ParseError]" in err
+    assert f"{cfg_path}: line 2: not UTF-8 text" in err
+    assert not out.exists()
 
 
 def test_realizations_shorter_than_sidecar_n_is_parse_error(tmp_path,

@@ -87,6 +87,8 @@ def test_filter_spec_validation():
         FilterSpec(cutoff_hz=600.0, sampling_rate_hz=1000.0)  # >= Nyquist
     with pytest.raises(ParameterError):
         FilterSpec(cutoff_hz=0.0, sampling_rate_hz=1000.0)
+    with pytest.raises(ParameterError, match="filter order"):
+        FilterSpec(cutoff_hz=100.0, sampling_rate_hz=1000.0, order=0)
 
 
 def test_dc_gain_is_unity():

@@ -482,13 +482,12 @@ def reference_train(init_seed, dataset, epochs, config):
             idx = order[lo:lo + config.batch_size]
             _, grad = _loss_and_gradients(RnnModel(**params), X[idx], y[idx])
             grads = dict(zip(PARAM_NAMES, _split(grad)))
-            if config.clip_norm is not None:
-                total = np.sqrt(sum(float(np.sum(grads[k] * grads[k])) for k
-                                    in ("w_out", "b_out", "b_h", "w_in", "w_rec")))
-                if total > config.clip_norm and total != 0.0:
-                    factor = config.clip_norm / total
-                    grads = {k: g * factor for k, g in grads.items()}
-                    clipped += 1
+            total = np.sqrt(sum(float(np.sum(grads[k] * grads[k])) for k
+                                in ("w_out", "b_out", "b_h", "w_in", "w_rec")))
+            if total > config.clip_norm and total != 0.0:
+                factor = config.clip_norm / total
+                grads = {k: g * factor for k, g in grads.items()}
+                clipped += 1
             t += 1
             for k in PARAM_NAMES:
                 g = grads[k]
@@ -514,7 +513,6 @@ def ref_bytes(params: dict) -> bytes:
 
 @pytest.mark.parametrize("clip_norm, lr, epochs", [
     pytest.param(0.05, 1e-2, 6, id="0.05"),
-    pytest.param(None, 1e-2, 6, id="None"),
     # The smoothed losses rise after epoch 7, so the representative model
     # is not the last one.
     pytest.param(0.05, 1e-1, 10, id="0.05-early-representative")])
@@ -525,10 +523,7 @@ def test_train_matches_per_parameter_reference(small_dataset, clip_norm, lr,
     model, representative, report = train(44, small_dataset, epochs, cfg)
     expected, clipped, steps = reference_train(44, small_dataset, epochs, cfg)
     assert steps >= 18
-    if clip_norm is None:
-        assert clipped == 0
-    else:
-        assert clipped > steps // 2
+    assert clipped > steps // 2
     if lr == 1e-1:
         assert report.representative_epoch < epochs
     assert model.vec.tobytes() == ref_bytes(expected[-1])
@@ -562,11 +557,12 @@ def test_train_refuses_zero_epochs(toy_dataset):
 
 @pytest.mark.parametrize("field, value", [
     ("lr", np.inf), ("lr", np.nan), ("lr", 0.0), ("clip_norm", -1.0),
-    ("clip_norm", 0.0), ("clip_norm", np.nan), ("clip_norm", np.inf)])
+    ("clip_norm", 0.0), ("clip_norm", np.nan), ("clip_norm", np.inf),
+    ("clip_norm", None)])
 def test_train_config_rejects_bad_step_settings(field, value):
+    # Every gradient is clipped: there is no "no clipping" setting.
     with pytest.raises(ParameterError):
         TrainConfig(**{field: value})
-    assert TrainConfig(clip_norm=None).clip_norm is None
 
 
 def test_train_report_curves_consistent(toy_dataset):

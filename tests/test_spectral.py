@@ -213,6 +213,15 @@ def generators(x):
             lambda seed: iaaft_surrogate(x, SurrogateConfig(seed=seed)))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("tolerance", np.inf), ("tolerance", np.nan), ("tolerance", 0.0),
+    ("tolerance", -1.0), ("max_iter", 0)])
+def test_surrogate_config_rejects_bad_settings(field, value):
+    # The stop tolerance is not a run setting, so only the library checks it.
+    with pytest.raises(ParameterError):
+        SurrogateConfig(**{field: value})
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_surrogates_reject_non_finite_series(bad):
     x = np.random.default_rng(33).normal(size=32)
