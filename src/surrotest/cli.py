@@ -386,11 +386,14 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # No abbreviations: a prefix of a flag, such as --hid, is refused
+    # rather than taken for the one flag it begins.
     parser = argparse.ArgumentParser(
         prog="surrotest",
         description="Detect dynamical nonlinearity in short time series by "
                     "training a recurrent classifier against constrained "
                     "surrogates.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     specs = {
@@ -402,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
         "pipeline": "run generate/surrogate/dataset/train/report end to end",
     }
     for name, help_text in specs.items():
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         _add_common(p)
         if name in ("surrogate", "dataset", "train", "report"):
             p.add_argument("--from", dest="stage_input",

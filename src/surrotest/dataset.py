@@ -18,8 +18,8 @@ import numpy as np
 from . import spectral
 from .errors import LengthError, ParameterError, ParseError, SplitError
 from .seeding import derived_seed
-from .series import (as_samples, open_text, parse_cells, read_meta,
-                     read_table, write_table)
+from .series import (as_samples, open_text, parse_cells, parse_floats,
+                     read_meta, read_table, write_table)
 
 SPLITS = ("train", "validation", "test")
 
@@ -31,9 +31,14 @@ VAL_FRAC_OF_TRAIN = 0.30
 LABEL_ORIGINAL = 1
 LABEL_SURROGATE = 0
 
-# Samples per block when a record is parsed or filtered: the most that is
-# held as Python floats (about 32 bytes each) at any one time.
-BLOCK = 1 << 14
+# Samples per block when a record is filtered: the most that is held as
+# Python floats (about 32 bytes each) at any one time.
+BLOCK = 1 << 12
+
+# Characters of record text read and parsed at a time (a longer line is
+# read whole).  Blocks this small cost no time and keep the small objects
+# of ingest and filter within the memory that training reuses.
+READ_CHARS = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -45,24 +50,37 @@ def load_series(path) -> np.ndarray:
     numerals, or both, in file order.  Blank lines are skipped; any other
     line that does not parse, or is not UTF-8, raises with its number.
 
-    Parsed values go into float64 blocks of about ``BLOCK`` samples, so
-    only the current block (or line, if longer) is held as Python floats.
+    Lines are read in blocks of about ``READ_CHARS`` characters, and the
+    numerals of a block are converted in one call into one float64 block;
+    only a block that fails is parsed again line by line, to name the bad
+    line.  So ingest holds one block of line text at a time, never the
+    record as Python objects.
     """
     path = Path(path)
-    blocks, values = [], []
+    blocks, first = [], 1
     with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            values += parse_cells(text.split(","), path, lineno)
-            if len(values) >= BLOCK:
-                blocks.append(np.array(values))
-                values = []
-    blocks.append(np.array(values))
-    if blocks[0].size == 0:
+        while lines := fh.readlines(READ_CHARS):
+            blocks.append(_parse_lines(lines, path, first))
+            first += len(lines)
+    if not any(block.size for block in blocks):
         raise LengthError(f"{path} contains no samples")
     return np.concatenate(blocks)
+
+
+def _parse_lines(lines: list, path, first: int) -> np.ndarray:
+    """The numerals of ``lines`` (the first is line ``first``) in order,
+    converted in one call; a block that fails is parsed again line by
+    line, so that the error names the bad line, not the block's first."""
+    text = ",".join(filter(None, map(str.strip, lines)))
+    try:
+        return parse_floats(text.split(","), path, first)
+    except ParseError:
+        pass
+    values = []
+    for lineno, line in enumerate(lines, start=first):
+        if text := line.strip():
+            values += parse_cells(text.split(","), path, lineno)
+    return np.array(values)
 
 
 # ---------------------------------------------------------------------------
@@ -71,15 +89,17 @@ def load_series(path) -> np.ndarray:
 
 @dataclass
 class FilterSpec:
-    """Low-pass design: order (4 by default), cutoff and rate in Hz."""
+    """Low-pass design: cutoff and rate in Hz.  The order is always 4
+    (``_iir_forward`` keeps its state in four locals); it stays a field so
+    that sidecars record it."""
 
     cutoff_hz: float
     sampling_rate_hz: float
     order: int = 4
 
     def __post_init__(self):
-        if self.order < 1:
-            raise ParameterError(f"filter order must be positive, got {self.order}")
+        if self.order != 4:
+            raise ParameterError(f"filter order must be 4, got {self.order}")
         if not (self.sampling_rate_hz > 0
                 and math.isfinite(self.sampling_rate_hz)):
             raise ParameterError("sampling rate must be finite and positive, "
@@ -113,24 +133,25 @@ def design_butterworth_lowpass(spec: FilterSpec) -> tuple:
 
 
 def _iir_forward(b: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Single causal pass, direct form II transposed.
+    """Single causal pass of the order-4 filter, direct form II transposed.
 
     The recurrence runs on Python floats, which round like numpy float64
-    scalars but cost far less per operation.  It walks the record in
-    blocks of ``BLOCK`` samples, so only one block is held as Python
-    floats at a time.
+    scalars but cost far less per operation, and keeps its state in
+    locals.  It walks the record in blocks of ``BLOCK`` samples, so only
+    one block is held as Python floats at a time.
     """
-    order = b.size - 1
-    b, a = b.tolist(), a.tolist()
-    z = [0.0] * order
+    b0, b1, b2, b3, b4 = b.tolist()
+    _, a1, a2, a3, a4 = a.tolist()
+    z0 = z1 = z2 = z3 = 0.0
     y = np.empty_like(x)
     for lo in range(0, x.size, BLOCK):
         out = []
         for xi in x[lo:lo + BLOCK].tolist():
-            yi = b[0] * xi + z[0]
-            for k in range(order - 1):
-                z[k] = b[k + 1] * xi + z[k + 1] - a[k + 1] * yi
-            z[order - 1] = b[order] * xi - a[order] * yi
+            yi = b0 * xi + z0
+            z0 = b1 * xi + z1 - a1 * yi
+            z1 = b2 * xi + z2 - a2 * yi
+            z2 = b3 * xi + z3 - a3 * yi
+            z3 = b4 * xi - a4 * yi
             out.append(yi)
         y[lo:lo + BLOCK] = out
     return y
@@ -259,7 +280,7 @@ def save_dataset(path, dataset: LabeledDataset, extra_meta: dict | None = None) 
     per item, each original directly followed by its surrogate, + sidecar."""
     n, _, L = dataset.pairs.shape
     header = ["pair_id", "label", "split"] + [f"s_{i}" for i in range(L)]
-    rows = ([pid, label, tag, *item]
+    rows = ([pid, label, tag, *item.tolist()]
             for pid, (pair, tag) in enumerate(zip(dataset.pairs,
                                                   dataset.split.tolist()))
             for label, item in zip((LABEL_ORIGINAL, LABEL_SURROGATE), pair))
@@ -301,7 +322,7 @@ def load_dataset(path) -> LabeledDataset:
                              line=line)
         if not surrogate:
             split.append(row[2])
-        X.append(np.array(parse_cells(row[3:], path, line)))
+        X.append(parse_floats(row[3:], path, line))
     if not X:
         raise LengthError(f"{path} contains no items")
     if len(X) % 2:

@@ -38,7 +38,7 @@ import numpy as np
 from .errors import (DivergenceError, LengthError, ParameterError, ParseError,
                      StiffnessError)
 from .seeding import substream
-from .series import (as_samples, file_sha256, parse_cells, read_meta,
+from .series import (as_samples, file_sha256, parse_floats, read_meta,
                      read_table, write_table)
 
 # Default burn-in discarded before sampling: enough to land on the
@@ -615,7 +615,7 @@ def save_realizations(path, rows, meta: dict,
             sidecar[key] = meta[key]
     if extra_meta:
         sidecar.update(extra_meta)
-    write_table(path, rows, sidecar)
+    write_table(path, (row.tolist() for row in rows), sidecar)
     return file_sha256(path)
 
 
@@ -624,7 +624,7 @@ def load_realizations(path) -> tuple:
     ({} without one).  Every row must have the sidecar's L, or without one
     the first row's length, and there must be as many rows as its N."""
     meta = read_meta(path)
-    rows = [np.array(parse_cells(cells, path, line))
+    rows = [parse_floats(cells, path, line)
             for line, cells in read_table(path, meta.get("L"))]
     if not rows:
         raise LengthError(f"{path} contains no realizations")

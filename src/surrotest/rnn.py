@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import (LengthError, NumericError, ParameterError, ParseError,
                      TrainingError)
-from .series import (atomic_open, meta_path, parse_cells, read_json,
-                     read_meta, read_table, write_table)
+from .series import (atomic_open, meta_path, parse_cells, parse_floats,
+                     read_json, read_meta, read_table, write_table)
 
 PARAM_NAMES = ("w_in", "w_rec", "b_h", "w_out", "b_out")
 
@@ -145,6 +145,9 @@ def _forward_batch(model: RnnModel, X: np.ndarray, keep_trace: bool = True):
     states[0] = 0.0
     w_rec_t = model.w_rec.T.copy()
     rec = np.empty((B, H))
+    # The ReLU's floor as a same-shape array: np.maximum against it skips
+    # the per-call conversion and broadcast of the scalar 0.0.
+    zeros = np.zeros((B, H))
     n = 0
     for lo in range(0, L, max(W, 1)):
         states[0] = states[n]
@@ -155,7 +158,7 @@ def _forward_batch(model: RnnModel, X: np.ndarray, keep_trace: bool = True):
         for h, h_next in zip(states[:n], window):
             np.dot(h, w_rec_t, out=rec)
             h_next += rec
-            np.maximum(h_next, 0.0, out=h_next)
+            np.maximum(h_next, zeros, out=h_next)
         # Checked once per window, so the first bad step is named.
         if not np.all(np.isfinite(window)):
             bad = lo + 1 + np.where(~np.isfinite(window).all(axis=(1, 2)))[0][0]
@@ -485,7 +488,7 @@ def load_report(path) -> TrainReport:
     smoothed = (report.train_loss_s5, report.val_loss_s5, report.test_acc_s5)
     for line, row in rows:
         parse_cells(row[:1], path, line, kind=int)
-        values = parse_cells(row[1:], path, line)
+        values = parse_floats(row[1:], path, line).tolist()
         acc, k = values[2], round(values[2] * n)
         if n > 0 and not (0 <= k <= n and k / n == acc):
             raise ParseError(f"{path}: line {line}: test_acc {acc!r} is not "

@@ -8,12 +8,16 @@ becomes the batch's JSON sidecar.
 Only this module knows the table format, which ``write_table`` and
 ``read_table`` use for every CSV artifact: the ``csv`` default dialect
 (CRLF ends), floats at 17 significant digits, blank rows skipped, rows as
-wide as the first, and a ``<stem>.meta.json`` sidecar.
+wide as the first, and a ``<stem>.meta.json`` sidecar.  A row is written
+with one ``%``-format of all its cells, and ``parse_floats`` reads a row
+of floats with one conversion; the per-cell ``csv`` and ``parse_cells``
+paths remain only for a cell that needs quoting or does not parse.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -49,6 +53,20 @@ def parse_cells(tokens, path, line: int, kind=float) -> list:
             raise ParseError(f"{path}: line {line}: cannot parse {tok.strip()!r} "
                              "as a finite number", line=line) from None
     return values
+
+
+def parse_floats(cells, path, line: int) -> np.ndarray:
+    """The cells of one row as a float array, converted in one call (numpy
+    calls ``float`` on each cell, so it accepts what ``parse_cells``
+    accepts); a bad or non-finite cell raises ``ParseError`` naming it."""
+    try:
+        values = np.array(cells, dtype=float)
+    except ValueError:
+        pass
+    else:
+        if np.isfinite(values).all():
+            return values
+    return np.array(parse_cells(cells, path, line))
 
 
 def meta_path(path) -> Path:
@@ -123,17 +141,55 @@ def atomic_open(path, newline=None):
         raise
 
 
+def _row_format(kinds: tuple):
+    """The ``%``-format of a row whose cells have the types ``kinds``:
+    floats at 17 significant digits, ints and strings as ``str`` gives
+    them; None if a cell is of another type."""
+    cells = []
+    for kind in kinds:
+        if issubclass(kind, float):
+            cells.append("%.17g")
+        elif issubclass(kind, (int, str)):
+            cells.append("%s")
+        else:
+            return None
+    return ",".join(cells) + "\r\n"
+
+
+def _is_plain(text: str, width: int) -> bool:
+    """Whether ``text`` is a row of ``width`` cells that ``csv`` writes as
+    it is: no cell holds a comma, quote or line break, and the row is not
+    one empty cell (which ``csv`` quotes)."""
+    return (len(text) > 2 and text.count(",") == width - 1
+            and text.count("\r") == text.count("\n") == 1
+            and '"' not in text)
+
+
 def write_table(path, rows, meta: dict, header=None) -> None:
     """Write ``rows`` (an iterable of rows, formatted one at a time) as a
     CSV with an optional header row, then ``meta`` as its sidecar.  Float
-    cells are written at 17 significant digits, other cells as they are."""
+    cells are written at 17 significant digits, other cells as they are.
+
+    A row is formatted with one ``%``-format of all its cells, made again
+    only when the cell types change from the row before.  A row that
+    ``csv`` would quote, or with a cell that is not a float, int or str,
+    goes through ``csv.writer``, so the bytes are those of ``csv``.
+    """
+    if header is not None:
+        rows = itertools.chain([header], rows)
     with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
-        if header is not None:
-            writer.writerow(header)
+        kinds = fmt = None
         for row in rows:
-            writer.writerow([f"{v:.17g}" if isinstance(v, float) else v
-                             for v in row])
+            row = tuple(row)
+            if (row_kinds := tuple(map(type, row))) != kinds:
+                kinds, fmt = row_kinds, _row_format(row_kinds)
+            text = fmt % row if fmt else ""
+            if _is_plain(text, len(row)):
+                fh.write(text)
+            else:
+                writer.writerow(["%.17g" % v if isinstance(v, float) else v
+                                 for v in row])
     write_json(meta_path(path), meta)
 
 

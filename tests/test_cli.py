@@ -661,6 +661,18 @@ def test_surrogate_algorithm_flag_is_gone(tmp_path, capsys):
         assert not out.exists(), flag
 
 
+@pytest.mark.parametrize("command", ["pipeline", "generate", "train"])
+def test_flag_prefix_is_refused(tmp_path, capsys, command):
+    # --hid is a prefix of --hidden-size only, but no abbreviation is taken.
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--system", "logistic", *TINY, "--hid", "3",
+                "--out", out)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --hid 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_negative_seed_flag_is_parameter_error(tmp_path, capsys):
     out = tmp_path / "run"
     assert run_cli("pipeline", "--system", "logistic", *TINY, "--seed", "-1",

@@ -87,8 +87,10 @@ def test_filter_spec_validation():
         FilterSpec(cutoff_hz=600.0, sampling_rate_hz=1000.0)  # >= Nyquist
     with pytest.raises(ParameterError):
         FilterSpec(cutoff_hz=0.0, sampling_rate_hz=1000.0)
-    with pytest.raises(ParameterError, match="filter order"):
-        FilterSpec(cutoff_hz=100.0, sampling_rate_hz=1000.0, order=0)
+    # The order is fixed at 4: no other is accepted, lower or higher.
+    for order in (0, 2, 7):
+        with pytest.raises(ParameterError, match="filter order must be 4"):
+            FilterSpec(cutoff_hz=100.0, sampling_rate_hz=1000.0, order=order)
 
 
 def test_dc_gain_is_unity():
@@ -156,12 +158,11 @@ def iir_reference(b, a, x):
     return y
 
 
-@pytest.mark.parametrize("order", [1, 2, 4, 7])
-def test_filter_matches_numpy_scalar_recurrence(order):
+def test_filter_matches_numpy_scalar_recurrence():
     # The filter walks the record in blocks of BLOCK samples; the reference
-    # runs over the whole record at once.
-    spec = FilterSpec(cutoff_hz=40.0, sampling_rate_hz=173.61, order=order)
-    x = np.random.default_rng(order).normal(size=2 * BLOCK + 3)
+    # runs over the whole record at once, with its state in an array.
+    spec = FilterSpec(cutoff_hz=40.0, sampling_rate_hz=173.61)
+    x = np.random.default_rng(4).normal(size=2 * BLOCK + 3)
     for n in (5000, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3):
         expected = iir_reference(*design_butterworth_lowpass(spec), x[:n])
         assert butterworth_lowpass(x[:n], spec).tobytes() == (
@@ -169,8 +170,9 @@ def test_filter_matches_numpy_scalar_recurrence(order):
 
 
 def test_load_series_rows_straddle_a_block(tmp_path):
-    # Single values up to two short of a block, a blank line, then comma
-    # rows and blank lines across the block boundary.
+    # Single values up to two short of BLOCK, a blank line, then comma
+    # rows and blank lines; the record's text spans several blocks of
+    # READ_CHARS characters, so rows and blank lines straddle them.
     values = np.random.default_rng(3).normal(size=BLOCK + 40)
     head = BLOCK - 2
     lines = [repr(v) for v in values[:head].tolist()] + [""]

@@ -1,8 +1,14 @@
+import csv
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from surrotest import series
-from surrotest.dataset import LabeledDataset, load_dataset, save_dataset
+from surrotest.dataset import (LabeledDataset, load_dataset, load_series,
+                               save_dataset)
 from surrotest.dynsys import load_realizations, save_realizations
 from surrotest.errors import ParseError
 from surrotest.rnn import TrainReport, load_report, save_report
@@ -100,6 +106,93 @@ def test_write_table_formats_floats_only(tmp_path):
         (1, ["i", "tag", "v"]), (2, ["0", "a,b", "0.10000000000000001"]),
         (3, ["1", "a,b", "0.33333333333333331"]),
         (4, ["2", "a,b", "-2.5e-300"]), (5, ["3", "a,b", "1"])]
+
+
+def csv_reference(rows, header) -> bytes:
+    """The bytes that ``csv.writer`` gives with every float cell
+    preformatted at 17 significant digits, one cell at a time."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([f"{v:.17g}" if isinstance(v, float) else v
+                         for v in row])
+    return buf.getvalue().encode()
+
+
+def test_write_table_matches_csv_module(tmp_path):
+    extremes = [-0.0, 5e-324, 1.7976931348623157e308, 0.1]
+    rows = [
+        [0, "train", *extremes],
+        [1, "test", *(-v for v in extremes)],
+        [2, "", *map(np.float64, extremes)],       # numpy scalars
+        [3, "test", 1.0, 2.0, 3.0, 4.0],
+        [True, "test", 1e-300, 1e300, -1.5, 7.0],  # a bool cell
+        [4, "a,b", 0.5, 0.5, 0.5, 0.5],            # cells csv quotes
+        [5, 'say "hi"', 0.5, 0.5, 0.5, 0.5],
+        [6, "two\nlines", 0.5, 0.5, 0.5, 0.5],
+        [""],                                      # one empty cell
+        [None, 0.25],                              # neither float, int nor str
+        [],
+    ]
+    header = ["id", "tag", "a", "b", "c", "d"]
+    path = tmp_path / "t.csv"
+    series.write_table(path, iter(rows), {}, header=header)
+    assert path.read_bytes() == csv_reference(rows, header)
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                min_size=1, max_size=20))
+def test_parse_floats_matches_parse_cells(values):
+    cells = [f"{v:.17g}" for v in values] + [repr(v) for v in values]
+    fast = series.parse_floats(cells, "t.csv", 1)
+    assert fast.tobytes() == np.array(
+        series.parse_cells(cells, "t.csv", 1)).tobytes()
+
+
+def test_parse_floats_accepts_what_float_accepts():
+    cells = ["1_0", " 1.5", "2.5 ", "-0", "+.5", "1E3", "\t3", "5e-324"]
+    assert series.parse_floats(cells, "t.csv", 1).tobytes() == (
+        np.array([float(c) for c in cells]).tobytes())
+
+
+def _bad_realizations(path, line, token):
+    save_realizations(path, np.arange(20.0).reshape(5, 4), {})
+    lines = path.read_text().splitlines()
+    lines[line - 1] = f"1,{token},2,3"
+    path.write_text("\n".join(lines) + "\n")
+    return lambda: load_realizations(path)
+
+
+def _bad_dataset(path, line, token):
+    pairs = np.arange(40.0).reshape(5, 2, 4)
+    save_dataset(path, LabeledDataset(pairs, np.full(5, "train")))
+    lines = path.read_text().splitlines()
+    lines[line - 1] = lines[line - 1].rsplit(",", 1)[0] + f",{token}"
+    path.write_text("\n".join(lines) + "\n")
+    return lambda: load_dataset(path)
+
+
+def _bad_record(path, line, token):
+    # 20,000 lines: the bad one lies past the first block that is read.
+    lines = [repr(v) for v in np.linspace(-1.0, 1.0, 20_000).tolist()]
+    lines[line - 1] = f"0.5,{token}"
+    path.write_text("\n".join(lines) + "\n")
+    return lambda: load_series(path)
+
+
+@pytest.mark.parametrize("token", ["nope", "nan", "1e999"])
+@pytest.mark.parametrize("make, line", [(_bad_realizations, 4),
+                                        (_bad_dataset, 7),
+                                        (_bad_record, 15_001)],
+                         ids=["realizations", "dataset", "record"])
+def test_bad_cell_names_its_line(tmp_path, make, line, token):
+    load = make(tmp_path / "t.csv", line, token)
+    with pytest.raises(ParseError) as info:
+        load()
+    assert info.value.line == line
+    assert str(info.value) == (f"{tmp_path / 't.csv'}: line {line}: cannot "
+                               f"parse {token!r} as a finite number")
 
 
 def test_read_table_skips_blank_rows_and_counts_lines(tmp_path):
