@@ -10,7 +10,7 @@ original and recognize its surrogate in the test set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -69,18 +69,16 @@ def load_series(path) -> np.ndarray:
 
 def _parse_lines(lines: list, path, first: int) -> np.ndarray:
     """The numerals of ``lines`` (the first is line ``first``) in order,
-    converted in one call; a block that fails is parsed again line by
-    line, so that the error names the bad line, not the block's first."""
+    converted in one call; a block fails only where ``parse_cells`` fails,
+    so it is parsed again line by line only to raise that line's error."""
     text = ",".join(filter(None, map(str.strip, lines)))
     try:
-        return parse_floats(text.split(","), path, first)
+        return parse_floats(text.split(",") if text else [], path, first)
     except ParseError:
-        pass
-    values = []
-    for lineno, line in enumerate(lines, start=first):
-        if text := line.strip():
-            values += parse_cells(text.split(","), path, lineno)
-    return np.array(values)
+        for lineno, line in enumerate(lines, start=first):
+            if text := line.strip():
+                parse_cells(text.split(","), path, lineno)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -89,17 +87,15 @@ def _parse_lines(lines: list, path, first: int) -> np.ndarray:
 
 @dataclass
 class FilterSpec:
-    """Low-pass design: cutoff and rate in Hz.  The order is always 4
-    (``_iir_forward`` keeps its state in four locals); it stays a field so
-    that sidecars record it."""
+    """Low-pass design: cutoff and rate in Hz.  The order is fixed at 4
+    (``_iir_forward`` keeps its state in four locals) and is not an
+    argument; it stays a field so that sidecars record it."""
 
     cutoff_hz: float
     sampling_rate_hz: float
-    order: int = 4
+    order: int = field(default=4, init=False)
 
     def __post_init__(self):
-        if self.order != 4:
-            raise ParameterError(f"filter order must be 4, got {self.order}")
         if not (self.sampling_rate_hz > 0
                 and math.isfinite(self.sampling_rate_hz)):
             raise ParameterError("sampling rate must be finite and positive, "
@@ -293,17 +289,17 @@ def save_dataset(path, dataset: LabeledDataset, extra_meta: dict | None = None) 
 def load_dataset(path) -> LabeledDataset:
     """Read a dataset CSV written by ``save_dataset``.
 
-    A row that does not have the header's width, a cell that does not
-    parse, or a split tag other than those in ``SPLITS`` raises
-    ``ParseError`` with its line number, and so does a data row 2i that is
-    not pair i's original (pair_id i, label 1) or a row 2i + 1 that is not
-    its surrogate (pair_id i, label 0) in its original's split.  An odd
-    item count, or one other than twice the sidecar's ``N`` (pairs),
-    raises ``ParseError`` naming the file.
+    A row that is not 3 + the sidecar's ``L`` cells wide (without one: the
+    header's width), a cell that does not parse, or a split tag other than
+    those in ``SPLITS`` raises ``ParseError`` with its line number, and so
+    does a data row 2i that is not pair i's original (pair_id i, label 1)
+    or a row 2i + 1 that is not its surrogate (pair_id i, label 0) in its
+    original's split.  An odd item count, or one other than twice the
+    sidecar's ``N`` (pairs), raises ``ParseError`` naming the file.
     """
     meta = read_meta(path)
     split, X = [], []
-    rows = read_table(path)
+    rows = read_table(path, 3 + meta["L"] if "L" in meta else None)
     if next(rows, None) is None:
         raise LengthError(f"{path} is empty")
     for line, row in rows:

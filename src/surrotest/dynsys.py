@@ -32,6 +32,7 @@ binds and steps the same kernel once.
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict
+from functools import partial
 
 import numpy as np
 
@@ -475,17 +476,6 @@ def _flow_initial_conditions(system: str, count: int, seed: int) -> np.ndarray:
 # Realization batches
 # ---------------------------------------------------------------------------
 
-SYSTEMS = ("logistic", "henon", "lorenz", "rossler", "chua", "ar1")
-
-
-def _default_params(system: str):
-    if system in ("logistic", "henon"):
-        return MapParams()
-    if system in FLOW_DT:
-        return FlowParams()
-    return NoiseParams()
-
-
 def _batch_logistic(L, N, seed, params):
     x = np.array([substream(seed, i).uniform(0.1, 0.9) for i in range(N)])
     out = np.empty((N, L))
@@ -546,14 +536,13 @@ def _batch_ar1(L, N, seed, params):
     return xs * np.sqrt(np.abs(xs))
 
 
-_BATCH_GENERATORS = {
-    "logistic": _batch_logistic,
-    "henon": _batch_henon,
-    "lorenz": lambda L, N, seed, p: _batch_flow("lorenz", L, N, seed, p),
-    "rossler": lambda L, N, seed, p: _batch_flow("rossler", L, N, seed, p),
-    "chua": lambda L, N, seed, p: _batch_flow("chua", L, N, seed, p),
-    "ar1": _batch_ar1,
+_SYSTEMS = {
+    "logistic": (_batch_logistic, MapParams),
+    "henon": (_batch_henon, MapParams),
+    **{flow: (partial(_batch_flow, flow), FlowParams) for flow in FLOW_DT},
+    "ar1": (_batch_ar1, NoiseParams),
 }
+SYSTEMS = tuple(_SYSTEMS)
 
 
 def make_realizations(source, L: int, N: int, seed: int = 0,
@@ -586,9 +575,10 @@ def make_realizations(source, L: int, N: int, seed: int = 0,
 
     if source not in SYSTEMS:
         raise ParameterError(f"unknown system {source!r}; expected one of {SYSTEMS}")
+    generate, params_type = _SYSTEMS[source]
     if params is None:
-        params = _default_params(source)
-    rows = _BATCH_GENERATORS[source](L, N, seed, params)
+        params = params_type()
+    rows = generate(L, N, seed, params)
     meta = {"system": source, "seed": seed, "mode": "independent",
             "params": asdict(params)}
     if source in FLOW_DT:

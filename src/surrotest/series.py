@@ -9,15 +9,15 @@ Only this module knows the table format, which ``write_table`` and
 ``read_table`` use for every CSV artifact: the ``csv`` default dialect
 (CRLF ends), floats at 17 significant digits, blank rows skipped, rows as
 wide as the first, and a ``<stem>.meta.json`` sidecar.  A row is written
-with one ``%``-format of all its cells, and ``parse_floats`` reads a row
-of floats with one conversion; the per-cell ``csv`` and ``parse_cells``
-paths remain only for a cell that needs quoting or does not parse.
+with one ``%``-format of all its cells and never quoted, since no cell
+the program writes holds a comma, quote or line break; ``parse_floats``
+reads a row of floats with one conversion, and the per-cell
+``parse_cells`` path remains only to name a cell that does not parse.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import math
 import os
@@ -141,73 +141,50 @@ def atomic_open(path, newline=None):
         raise
 
 
-def _row_format(kinds: tuple):
-    """The ``%``-format of a row whose cells have the types ``kinds``:
-    floats at 17 significant digits, ints and strings as ``str`` gives
-    them; None if a cell is of another type."""
-    cells = []
-    for kind in kinds:
-        if issubclass(kind, float):
-            cells.append("%.17g")
-        elif issubclass(kind, (int, str)):
-            cells.append("%s")
-        else:
-            return None
-    return ",".join(cells) + "\r\n"
-
-
-def _is_plain(text: str, width: int) -> bool:
-    """Whether ``text`` is a row of ``width`` cells that ``csv`` writes as
-    it is: no cell holds a comma, quote or line break, and the row is not
-    one empty cell (which ``csv`` quotes)."""
-    return (len(text) > 2 and text.count(",") == width - 1
-            and text.count("\r") == text.count("\n") == 1
-            and '"' not in text)
-
-
 def write_table(path, rows, meta: dict, header=None) -> None:
     """Write ``rows`` (an iterable of rows, formatted one at a time) as a
-    CSV with an optional header row, then ``meta`` as its sidecar.  Float
-    cells are written at 17 significant digits, other cells as they are.
+    CSV with an optional header row, then ``meta`` as its sidecar.
 
-    A row is formatted with one ``%``-format of all its cells, made again
-    only when the cell types change from the row before.  A row that
-    ``csv`` would quote, or with a cell that is not a float, int or str,
-    goes through ``csv.writer``, so the bytes are those of ``csv``.
+    A row is one ``%``-format of its cells, ``%.17g`` for a float and
+    ``%s`` for any other, made again only when the cell types change.  The
+    program writes only numbers, column names and split tags, so no cell
+    holds a comma, a quote or a line break, and the bytes are those of
+    ``csv``'s default dialect.
     """
-    if header is not None:
-        rows = itertools.chain([header], rows)
     with atomic_open(path, newline="") as fh:
-        writer = csv.writer(fh)
-        kinds = fmt = None
+        if header is not None:
+            fh.write(",".join(header) + "\r\n")
+        kinds = None
         for row in rows:
             row = tuple(row)
             if (row_kinds := tuple(map(type, row))) != kinds:
-                kinds, fmt = row_kinds, _row_format(row_kinds)
-            text = fmt % row if fmt else ""
-            if _is_plain(text, len(row)):
-                fh.write(text)
-            else:
-                writer.writerow(["%.17g" % v if isinstance(v, float) else v
-                                 for v in row])
+                kinds = row_kinds
+                fmt = ",".join("%.17g" if issubclass(kind, float) else "%s"
+                               for kind in kinds) + "\r\n"
+            fh.write(fmt % row)
     write_json(meta_path(path), meta)
 
 
 def read_table(path, width: int | None = None):
     """Yield ``(line, cells)`` for each nonempty CSV row, with its 1-based
-    line number.  A row that is not ``width`` cells wide (without a width:
-    as wide as the first), or not UTF-8, raises ``ParseError`` naming it."""
+    line number.  A row not ``width`` cells wide (without a width: as wide
+    as the first), not UTF-8, or that ``csv`` refuses (such as a cell over
+    its field size limit) raises ``ParseError`` naming it."""
     with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
-        for cells in reader:
-            if not cells:
-                continue
-            width = width or len(cells)
-            if len(cells) != width:
-                raise ParseError(f"{path}: line {reader.line_num}: expected "
-                                 f"{width} fields, got {len(cells)}",
-                                 line=reader.line_num)
-            yield reader.line_num, cells
+        try:
+            for cells in reader:
+                if not cells:
+                    continue
+                width = width or len(cells)
+                if len(cells) != width:
+                    raise ParseError(f"{path}: line {reader.line_num}: "
+                                     f"expected {width} fields, got "
+                                     f"{len(cells)}", line=reader.line_num)
+                yield reader.line_num, cells
+        except csv.Error as exc:
+            raise ParseError(f"{path}: line {reader.line_num}: {exc}",
+                             line=reader.line_num) from None
 
 
 def file_sha256(path) -> str:

@@ -1,3 +1,4 @@
+import csv
 import errno
 import json
 import os
@@ -289,6 +290,26 @@ def test_staged_run_matches_pipeline(tmp_path, system, extra):
     assert staged.keys() == piped.keys()
     for name in staged:
         assert staged[name] == piped[name], name
+
+
+def test_written_tables_need_no_quoting(tmp_path):
+    # Every CSV of a pipeline run and of a staged filtered-record run holds
+    # no quote, and csv reads each of its lines as the line split at commas.
+    record = tmp_path / "record.txt"
+    np.savetxt(record, np.sin(0.3 * np.arange(2000)), fmt="%.17g")
+    assert run_cli("pipeline", "--system", "logistic", "--seed", "0",
+                   "--out", tmp_path / "piped", *TINY) == 0
+    for stage in STAGES:
+        assert run_cli(stage, "--system", "file", "--input", record,
+                       *FILTER, "--seed", "0", "--out", tmp_path / "staged",
+                       *TINY) == 0, stage
+    tables = sorted(tmp_path.glob("*/*.csv"))
+    assert len(tables) == 8
+    for path in tables:
+        text = path.read_text()
+        assert '"' not in text, path
+        for line in text.splitlines():
+            assert next(csv.reader([line])) == line.split(","), path
 
 
 def test_staged_run_computes_each_surrogate_once(tmp_path, monkeypatch):
@@ -741,6 +762,21 @@ def test_dataset_sidecar_count_must_be_an_integer(tmp_path, capsys, key,
     err = capsys.readouterr().err
     assert "error[ParseError]" in err
     assert f"{sidecar}: {key} has the wrong type: {json.dumps(value)}" in err
+    assert not (out / "train_report.csv").exists()
+
+
+def test_dataset_sidecar_length_is_checked(tmp_path, capsys):
+    out = tmp_path / "run"
+    base = ["--system", "logistic", "--out", out] + TINY
+    for stage in ("generate", "dataset"):
+        assert run_cli(stage, *base) == 0, stage
+    sidecar = out / "dataset.meta.json"
+    sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()),
+                                   "L": 64}))
+    assert run_cli("train", *base) == 2
+    err = capsys.readouterr().err
+    assert "error[ParseError]" in err
+    assert f"{out / 'dataset.csv'}: line 1: expected 67 fields, got 19" in err
     assert not (out / "train_report.csv").exists()
 
 

@@ -1,10 +1,13 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from surrotest.dataset import (BLOCK, SPLITS, FilterSpec, LabeledDataset,
-                               build_dataset, butterworth_lowpass,
+from surrotest.dataset import (BLOCK, READ_CHARS, SPLITS, FilterSpec,
+                               LabeledDataset, build_dataset,
+                               butterworth_lowpass,
                                design_butterworth_lowpass, load_dataset,
                                load_series, pair_surrogates, save_dataset,
                                split_dataset, standardize)
@@ -41,6 +44,21 @@ def test_load_series_empty_file(tmp_path):
     path.write_text("")
     with pytest.raises(LengthError):
         load_series(path)
+
+
+@pytest.mark.parametrize("text, samples", [
+    ("\n \n\n", None),
+    # The last block read holds only blank lines.
+    ("1\n2\n" + "\n" * (READ_CHARS + 10), [1.0, 2.0]),
+], ids=["blank-only", "blank-last-block"])
+def test_load_series_blank_block(tmp_path, text, samples):
+    path = tmp_path / "rec.txt"
+    path.write_text(text)
+    if samples is None:
+        with pytest.raises(LengthError, match="contains no samples"):
+            load_series(path)
+    else:
+        assert load_series(path).tolist() == samples
 
 
 def test_load_series_row_format(tmp_path):
@@ -87,10 +105,8 @@ def test_filter_spec_validation():
         FilterSpec(cutoff_hz=600.0, sampling_rate_hz=1000.0)  # >= Nyquist
     with pytest.raises(ParameterError):
         FilterSpec(cutoff_hz=0.0, sampling_rate_hz=1000.0)
-    # The order is fixed at 4: no other is accepted, lower or higher.
-    for order in (0, 2, 7):
-        with pytest.raises(ParameterError, match="filter order must be 4"):
-            FilterSpec(cutoff_hz=100.0, sampling_rate_hz=1000.0, order=order)
+    # The order is fixed at 4 and is not an argument; sidecars record it.
+    assert asdict(FilterSpec(20, 100))["order"] == 4
 
 
 def test_dc_gain_is_unity():
